@@ -30,7 +30,6 @@ from .errors import (
     InvalidReduction,
     LabelNotFound,
     NoConvergence,
-    NotSymmetric,
     PairwellError,
     ReductionFailed,
     SingularJacobian,
@@ -40,7 +39,6 @@ from .errors import (
 from .numerics import (
     NewtonConfig,
     NewtonReport,
-    jacobi_eigh,
     newton_solve,
     simpson_1d,
     simpson_2d,
@@ -90,7 +88,6 @@ __all__ = [
     "NewtonConfig",
     "NewtonReport",
     "NoConvergence",
-    "NotSymmetric",
     "PairwellError",
     "PerturbativeShift",
     "ReducedParams",
@@ -110,7 +107,6 @@ __all__ = [
     "energy_for_state",
     "initial_guess",
     "interaction_element",
-    "jacobi_eigh",
     "jacobian",
     "kinetic_element",
     "newton_solve",

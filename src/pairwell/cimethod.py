@@ -8,9 +8,11 @@ psi_n(x) = sqrt(2) sin(n pi x),
 
 with N_nm = 1/2 for n = m and 1/sqrt(2) otherwise, over 1 <= n <= m <= n_max.
 Kinetic elements are diagonal deltas; the contact interaction collapses to a
-seven-term Kronecker pattern in the mode numbers.  Diagonalizing gives
-variational energies used to seed the exact transcendental solve for states
-whose quantum numbers differ.
+seven-term Kronecker pattern in the mode numbers.  That pattern conserves
+(n + m) mod 2, the reflection parity about x = 1/2, so the matrix splits into
+two parity blocks that are diagonalized separately with LAPACK.  The
+eigenvalues are variational energies used to seed the exact transcendental
+solve for states whose quantum numbers differ.
 
 Contact interactions converge slowly in a mode cutoff (roughly 1/n_max), but
 the energies only have to be good enough to land Newton in the right basin,
@@ -26,7 +28,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import LabelNotFound
-from .numerics import jacobi_eigh
 from .transcend import StateLabel
 
 __all__ = [
@@ -156,9 +157,31 @@ def build_hamiltonian(basis: SymmetricBasis, U: float) -> CIHamiltonian:
 
 @functools.lru_cache(maxsize=32)
 def _eigensystem(U: float, n_max: int):
+    """Eigenvalues ascending and eigenvectors as columns of the full basis.
+
+    Each parity block is diagonalized on its own, so every eigenvector is
+    exactly zero outside its block and near-degenerate levels of opposite
+    parity can never mix.  Exactly degenerate levels are listed in the order
+    of their dominant basis states.
+    """
+    if not np.isfinite(U):
+        raise ValueError("interaction strength must be finite")
     basis = SymmetricBasis(n_max)
-    hamiltonian = build_hamiltonian(basis, U)
-    eigenvalues, eigenvectors = jacobi_eigh(hamiltonian.matrix)
+    matrix = build_hamiltonian(basis, U).matrix
+    parity = np.array([(n + m) % 2 for n, m in basis.states])
+    eigenvalues = np.empty(len(basis))
+    eigenvectors = np.zeros((len(basis), len(basis)))
+    start = 0
+    for block in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
+        values, vectors = np.linalg.eigh(matrix[np.ix_(block, block)])
+        columns = slice(start, start + block.size)
+        eigenvalues[columns] = values
+        eigenvectors[block, columns] = vectors
+        start += block.size
+    dominant = np.argmax(np.abs(eigenvectors), axis=0)
+    order = np.lexsort((dominant, eigenvalues))
+    eigenvalues = eigenvalues[order]
+    eigenvectors = eigenvectors[:, order]
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return basis, eigenvalues, eigenvectors

@@ -25,10 +25,6 @@ class BadPanelCount(PairwellError, ValueError):
     """Simpson quadrature needs an even, positive panel count."""
 
 
-class NotSymmetric(PairwellError, ValueError):
-    """The eigensolver input matrix is not symmetric to working tolerance."""
-
-
 class DegenerateDenominator(PairwellError, ValueError):
     """The perturbative shift formula divides by zero at interaction strength -4."""
 

@@ -1,9 +1,8 @@
 """Self-contained numerical kernels.
 
-Damped Newton iteration over real or complex vectors, a cyclic Jacobi
-eigensolver for dense symmetric matrices, and composite Simpson quadrature
-in one and two dimensions.  Everything here is a pure function of its
-inputs and safe to call concurrently.
+Damped Newton iteration over real or complex vectors and composite Simpson
+quadrature in one and two dimensions.  Everything here is a pure function of
+its inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadPanelCount, NoConvergence, NotSymmetric, SingularJacobian
+from .errors import BadPanelCount, NoConvergence, SingularJacobian
 
 __all__ = [
     "NewtonConfig",
     "NewtonReport",
     "newton_solve",
-    "jacobi_eigh",
     "simpson_1d",
     "simpson_2d",
 ]
@@ -193,101 +191,6 @@ def newton_solve(
         f"after {steps} iterations",
         report=report,
     )
-
-
-# Stop sweeping once the off-diagonal Frobenius mass is below this fraction
-# of the full Frobenius norm.
-_JACOBI_TOLERANCE = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-_SYMMETRY_TOLERANCE = 1e-12
-
-
-def jacobi_eigh(matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Eigendecomposition of a dense symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as orthonormal columns.  Each sweep visits every upper
-    off-diagonal pair once; the first few sweeps skip entries below a
-    sweep-dependent threshold, after which every entry is annihilated.  The
-    off-diagonal sum is accumulated from the strict triangle directly, never
-    by subtraction, so the stopping test does not suffer cancellation.
-
-    Raises:
-        NotSymmetric: input deviates from symmetry by more than 1e-12
-            relative in Frobenius norm.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric("expected a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise NotSymmetric("matrix has non-finite entries")
-    fro = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > _SYMMETRY_TOLERANCE * max(fro, 1e-300):
-        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
-
-    n = a.shape[0]
-    v = np.eye(n)
-    if n < 2 or fro == 0.0:
-        w = np.diag(a).copy()
-        order = np.argsort(w, kind="stable")
-        return w[order], v[:, order]
-
-    a = (a + a.T) / 2.0
-    converged = False
-    for sweep in range(_JACOBI_MAX_SWEEPS):
-        offsq = 2.0 * float(np.sum(np.triu(a, 1) ** 2))
-        if np.sqrt(offsq) <= _JACOBI_TOLERANCE * fro:
-            converged = True
-            break
-        threshold = 0.2 * offsq / (n * n) if sweep < 4 else 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0 or apq * apq <= threshold:
-                    continue
-                g = 100.0 * abs(apq)
-                if (
-                    sweep > 4
-                    and abs(a[p, p]) + g == abs(a[p, p])
-                    and abs(a[q, q]) + g == abs(a[q, q])
-                ):
-                    # Negligible against both diagonals: dropping it perturbs
-                    # the spectrum below roundoff.
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                h = a[q, q] - a[p, p]
-                if abs(h) + g == abs(h):
-                    t = apq / h
-                else:
-                    theta = 0.5 * h / apq
-                    t = 1.0 / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    if not converged:
-        offsq = 2.0 * float(np.sum(np.triu(a, 1) ** 2))
-        if np.sqrt(offsq) > _JACOBI_TOLERANCE * fro:
-            raise NoConvergence(
-                f"Jacobi sweeps exhausted with off-diagonal norm {np.sqrt(offsq):.3e}"
-            )
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 def _simpson_weights(panels: int) -> NDArray[np.float64]:

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from . import cimethod, perturb, reduced, transcend
-from .errors import NoConvergence, SolutionRejected
+from .errors import NoConvergence, PairwellError, SolutionRejected
 from .numerics import NewtonConfig, newton_solve
 from .transcend import MomentumPair, StateLabel, TranscendentalCase
 
@@ -235,7 +235,7 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
                 if pair is None:
                     try:
                         pair = fresh(strength)
-                    except Exception:
+                    except PairwellError:
                         pair = None
             if pair is None:
                 points[index] = SweepPoint(strength, None, None, None)

@@ -6,6 +6,7 @@ import pytest
 from pairwell.cimethod import (
     SymmetricBasis,
     _dominant_state,
+    _eigensystem,
     basis_norm,
     build_hamiltonian,
     energy_for_state,
@@ -129,8 +130,9 @@ class TestHamiltonian:
 
 class TestSpectrum:
     def test_noninteracting_ground_energy(self):
-        states = spectrum(0.0, n_max=5, levels=1)
-        assert states[0].energy == pytest.approx(2.0 * PI**2, abs=1e-10)
+        for cutoff in (1, 5):
+            states = spectrum(0.0, n_max=cutoff, levels=1)
+            assert states[0].energy == pytest.approx(2.0 * PI**2, abs=1e-10)
 
     def test_noninteracting_spectrum_is_exact(self):
         basis = SymmetricBasis(5)
@@ -188,3 +190,64 @@ class TestEnergyForState:
     def test_label_outside_basis(self):
         with pytest.raises(LabelNotFound):
             energy_for_state(-1.0, StateLabel(1, 6), n_max=3)
+
+
+class TestEigensystem:
+    def test_pinned_energies(self):
+        # Reference values from an independent cyclic Jacobi eigensolver.
+        assert energy_for_state(-1.0, StateLabel(2, 1), n_max=30) == pytest.approx(
+            47.294344443085635, rel=1e-9)
+        assert energy_for_state(-1.0, StateLabel(3, 1), n_max=30) == pytest.approx(
+            96.68583470072603, rel=1e-9)
+        states = spectrum(-3.0, n_max=16, levels=4)
+        assert [s.energy for s in states] == pytest.approx(
+            [14.766012635481129, 42.88264936153007, 74.03475855024526,
+             92.67816177639148], rel=1e-9)
+        assert [(s.dominant_label.n, s.dominant_label.m) for s in states] == [
+            (1, 1), (2, 1), (2, 2), (3, 1)]
+
+    @pytest.mark.parametrize("U", [-4.0, 3.0])
+    def test_eigenvalues_ascending(self, U):
+        _, eigenvalues, _ = _eigensystem(U, 16)
+        assert np.all(np.diff(eigenvalues) >= 0.0)
+
+    @pytest.mark.parametrize("U", [-4.0, 3.0])
+    def test_eigenpair_residual(self, U):
+        basis, eigenvalues, eigenvectors = _eigensystem(U, 16)
+        matrix = build_hamiltonian(basis, U).matrix
+        residual = matrix @ eigenvectors - eigenvectors * eigenvalues
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(matrix)
+
+    @pytest.mark.parametrize("U", [-4.0, 3.0])
+    def test_eigenvectors_orthonormal(self, U):
+        basis, _, eigenvectors = _eigensystem(U, 16)
+        gram = eigenvectors.T @ eigenvectors
+        assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-12
+
+    @pytest.mark.parametrize("U", [-4.0, 3.0])
+    def test_eigenvectors_stay_in_parity_block(self, U):
+        basis, _, eigenvectors = _eigensystem(U, 16)
+        parity = np.array([(n + m) % 2 for n, m in basis.states])
+        for column in eigenvectors.T:
+            block = parity[int(np.argmax(np.abs(column)))]
+            assert np.all(column[parity != block] == 0.0)
+
+    @pytest.mark.parametrize("U", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_strength_rejected(self, U):
+        with pytest.raises(ValueError, match="interaction strength must be finite"):
+            spectrum(U, n_max=4, levels=1)
+        with pytest.raises(ValueError, match="interaction strength must be finite"):
+            energy_for_state(U, StateLabel(2, 1), n_max=4)
+
+    @pytest.mark.parametrize("n_max, level", [(12, 46), (16, 78), (16, 98)])
+    def test_noninteracting_ties_follow_basis_order(self, n_max, level):
+        _, eigenvalues, eigenvectors = _eigensystem(0.0, n_max)
+        dominant = np.argmax(np.abs(eigenvectors), axis=0)
+        assert list(zip(eigenvalues, dominant)) == sorted(zip(eigenvalues, dominant))
+        assert eigenvalues[level] == eigenvalues[level + 1]
+        assert dominant[level] < dominant[level + 1]
+
+    def test_noninteracting_tie_labels(self):
+        states = spectrum(0.0, n_max=12, levels=48)
+        labels = [(s.dominant_label.n, s.dominant_label.m) for s in states[46:]]
+        assert labels == [(11, 2), (10, 5)]

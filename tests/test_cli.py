@@ -203,6 +203,13 @@ class TestCiCommand:
             values[basis] = json.loads(out)["results"]["levels"][0]["energy"]
         assert values[12] <= values[5]
 
+    def test_nonfinite_strength_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ci", "--U", "nan", "--basis", "4", "--levels", "2")
+        assert code == 1
+        assert out == ""
+        assert "interaction strength must be finite" in err
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):

@@ -1,18 +1,14 @@
-"""Newton, Jacobi, and Simpson kernels."""
+"""Newton and Simpson kernels."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pairwell import transcend
-from pairwell.cimethod import SymmetricBasis, build_hamiltonian
-from pairwell.errors import BadPanelCount, NoConvergence, NotSymmetric, SingularJacobian
+from pairwell.errors import BadPanelCount, NoConvergence, SingularJacobian
 from pairwell.numerics import (
     NewtonConfig,
-    jacobi_eigh,
     newton_solve,
     simpson_1d,
     simpson_2d,
@@ -113,60 +109,6 @@ class TestNewton:
         )
         assert report.converged
         assert report.iterations == 0
-
-
-class TestJacobi:
-    def test_identity(self):
-        values, vectors = jacobi_eigh(np.eye(3))
-        assert np.allclose(values, [1.0, 1.0, 1.0])
-        assert np.allclose(vectors, np.eye(3))
-
-    def test_textbook_2x2(self):
-        values, vectors = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(values, [1.0, 3.0], atol=1e-12)
-        expected_low = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        expected_high = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert abs(abs(np.dot(vectors[:, 0], expected_low)) - 1.0) < 1e-12
-        assert abs(abs(np.dot(vectors[:, 1], expected_high)) - 1.0) < 1e-12
-
-    def test_noninteracting_hamiltonian_is_exact(self):
-        basis = SymmetricBasis(5)
-        hamiltonian = build_hamiltonian(basis, 0.0)
-        values, _ = jacobi_eigh(hamiltonian.matrix)
-        expected = np.sort([np.pi**2 * (n**2 + m**2) for n, m in basis.states])
-        assert np.allclose(values, expected, rtol=0.0, atol=1e-10)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(NotSymmetric):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(NotSymmetric):
-            jacobi_eigh(np.ones((2, 3)))
-
-    @pytest.mark.parametrize("dim", [3, 17, 64, 200])
-    def test_reconstruction_random(self, dim):
-        rng = np.random.default_rng(dim)
-        a = rng.standard_normal((dim, dim))
-        a = (a + a.T) / 2.0
-        values, vectors = jacobi_eigh(a)
-        fro = np.linalg.norm(a)
-        assert np.all(np.diff(values) >= 0.0)
-        assert np.linalg.norm(a - vectors @ np.diag(values) @ vectors.T) <= 1e-9 * fro
-        assert np.max(np.abs(vectors.T @ vectors - np.eye(dim))) <= 1e-10
-        residuals = a @ vectors - vectors * values
-        assert np.max(np.abs(residuals)) <= 1e-10 * fro
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        dim=st.integers(min_value=1, max_value=8),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_reconstruction_property(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-5.0, 5.0, size=(dim, dim))
-        a = (a + a.T) / 2.0
-        values, vectors = jacobi_eigh(a)
-        fro = max(np.linalg.norm(a), 1.0)
-        assert np.linalg.norm(a - vectors @ np.diag(values) @ vectors.T) <= 1e-9 * fro
 
 
 class TestSimpson:

@@ -164,6 +164,14 @@ class TestSweep:
         assert all(p.pair is not None for p in others)
         assert np.isnan(gapped.column("re_k1")[2])
 
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(request):
+            raise RuntimeError("not a numerical failure")
+
+        monkeypatch.setattr(solver, "solve_state", broken)
+        with pytest.raises(RuntimeError, match="not a numerical failure"):
+            sweep(StateLabel(1, 1), -2.0, -1.0, 5)
+
     def test_sweep_crossing_zero(self):
         result = sweep(StateLabel(1, 1), -0.5, 0.5, 5)
         strengths = [point.U for point in result.points]
