@@ -7,12 +7,13 @@ psi_n(x) = sqrt(2) sin(n pi x),
     |n, m> = N_nm (psi_n(xi) psi_m(eta) + psi_m(xi) psi_n(eta)),
 
 with N_nm = 1/2 for n = m and 1/sqrt(2) otherwise, over 1 <= n <= m <= n_max.
-Kinetic elements are diagonal deltas; the contact interaction collapses to a
-seven-term Kronecker pattern in the mode numbers.  That pattern conserves
-(n + m) mod 2, the reflection parity about x = 1/2, so the matrix splits into
-two parity blocks that are diagonalized separately with LAPACK.  The
-eigenvalues are variational energies used to seed the exact transcendental
-solve for states whose quantum numbers differ.
+Kinetic elements are diagonal; the contact interaction collapses to a
+seven-term Kronecker pattern in the mode numbers, of which five terms can
+fire in the ordered basis.  That pattern conserves (n + m) mod 2, the
+reflection parity about x = 1/2, so the matrix splits into two parity blocks
+that are diagonalized separately with LAPACK.  The eigenvalues are
+variational energies used to seed the exact transcendental solve for states
+whose quantum numbers differ.
 
 Contact interactions converge slowly in a mode cutoff (roughly 1/n_max), but
 the energies only have to be good enough to land Newton in the right basin,
@@ -132,26 +133,25 @@ def build_hamiltonian(basis: SymmetricBasis, U: float) -> CIHamiltonian:
     n = np.array([s[0] for s in basis.states])
     m = np.array([s[1] for s in basis.states])
     norms = np.where(n == m, 0.5, 1.0 / np.sqrt(2.0))
-    prefactor = np.outer(norms, norms)
 
-    # Bra indices vary along rows, ket indices along columns.
-    nb, mb = n[:, None], m[:, None]
-    nk, mk = n[None, :], m[None, :]
-    kinetic_pattern = ((nb == nk) & (mb == mk)).astype(float) + (
-        (nb == mk) & (nk == mb)
-    ).astype(float)
-    kinetic = 2.0 * np.pi**2 * (nk**2 + mk**2) * prefactor * kinetic_pattern
-
+    # Bra indices vary along rows, ket indices along columns.  Each Kronecker
+    # term of interaction_element compares a sum or difference of bra mode
+    # numbers with one of ket mode numbers.  With n <= m on both sides,
+    # m + nt + mt = n and n + m + mt = nt never hold, so five terms remain.
+    diff_b, sum_b = (m - n)[:, None], (n + m)[:, None]
+    diff_k, sum_k = (m - n)[None, :], (n + m)[None, :]
     contact_pattern = (
-        (nb + mk == mb + nk).astype(float)
-        + (nb + nk == mb + mk).astype(float)
-        - (mb + nk + mk == nb).astype(float)
-        - (nb + nk + mk == mb).astype(float)
-        - (nb + mb + mk == nk).astype(float)
-        - (nb + mb + nk == mk).astype(float)
-        + (nb + mb == nk + mk).astype(float)
+        (diff_b == diff_k).astype(np.int8)
+        + (diff_b == -diff_k)
+        - (diff_b == sum_k)
+        - (sum_b == diff_k)
+        + (sum_b == sum_k)
     )
-    matrix = kinetic + 2.0 * U * prefactor * contact_pattern
+    matrix = 2.0 * U * np.outer(norms, norms) * contact_pattern
+    # The kinetic term is diagonal in this basis.
+    matrix[np.diag_indices_from(matrix)] += (
+        2.0 * np.pi**2 * (n**2 + m**2) * norms**2 * np.where(n == m, 2.0, 1.0)
+    )
     return CIHamiltonian(matrix=matrix, U=float(U), basis=basis)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from . import cimethod, solver, wavefn
 from .errors import (
     DegenerateState,
-    IdenticallyZero,
     LabelNotFound,
     NoConvergence,
     ReductionFailed,
@@ -28,7 +27,7 @@ from .errors import (
     SolutionRejected,
 )
 from .numerics import NewtonConfig
-from .transcend import MomentumPair, StateLabel, TranscendentalCase
+from .transcend import MomentumPair, StateLabel
 
 __all__ = ["main", "entry", "OutputRecord"]
 
@@ -216,28 +215,10 @@ def _density_csv_lines(grid: wavefn.DensityGrid):
                    f"{_csv_number(grid.values[i, j])}")
 
 
-def _triplet_grid(U: float, label: StateLabel, resolution: int) -> wavefn.DensityGrid:
-    if label.n == label.m:
-        raise IdenticallyZero("triplet density requires n != m")
-    if resolution < 3 or resolution % 2 == 0:
-        raise ValueError(f"resolution must be odd and >= 3, got {resolution}")
-    pair = MomentumPair(
-        k1=max(label.n, label.m) * np.pi,
-        k2=min(label.n, label.m) * np.pi,
-        case=TranscendentalCase(U=U, s=-1),
-        label=label,
-    )
-    xs = np.linspace(0.0, 1.0, resolution)
-    values = np.abs(wavefn.triplet_amplitude(label.n, label.m,
-                                             xs[:, None], xs[None, :])) ** 2
-    return wavefn.DensityGrid(resolution=resolution, values=values,
-                              pair=pair, s=-1, norm=1.0)
-
-
 def _cmd_density(args, out: IO[str]) -> int:
     label = _check_label(args.n, args.m)
     if args.symmetry == "triplet":
-        grid = _triplet_grid(args.U, label, args.grid)
+        grid = wavefn._triplet_grid(args.U, label, args.grid)
     else:
         pair = solver.solve_state(solver.SolveRequest(U=args.U, label=label))
         grid = wavefn.density_grid(wavefn.normalize(pair), args.grid)

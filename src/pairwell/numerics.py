@@ -208,24 +208,15 @@ def _check_panels(panels: int) -> int:
 
 
 def _evaluate(f: Callable, *grids: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on broadcast grids, falling back to a scalar loop."""
+    """Evaluate ``f`` once on the broadcast grids."""
     target = np.broadcast_shapes(*(g.shape for g in grids))
-    try:
-        return np.broadcast_to(np.asarray(f(*grids), dtype=float), target)
-    except (TypeError, ValueError):
-        pass
-    out = np.empty(target, dtype=float)
-    it = np.nditer(grids, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        out[idx] = f(*(g[idx] for g in grids))
-    return out
+    return np.broadcast_to(np.asarray(f(*grids), dtype=float), target)
 
 
 def simpson_1d(f: Callable, a: float, b: float, panels: int) -> float:
     """Composite Simpson estimate of the integral of ``f`` over ``[a, b]``.
 
-    ``f`` should accept numpy arrays; scalars-only callables are looped over.
+    ``f`` is called once on the whole grid, so it must accept numpy arrays.
     The error is O(h^4) for smooth integrands.
     """
     panels = _check_panels(panels)

@@ -164,14 +164,16 @@ def _solve_detailed(
     label: StateLabel,
     n_max: int,
     config: NewtonConfig | None,
-) -> tuple[MomentumPair, int]:
-    """solve_nonidentical plus the Newton iteration count of the polish."""
+) -> tuple[MomentumPair, float, int]:
+    """solve_nonidentical plus the verified residual max-norm and the
+    Newton iteration count of the polish."""
     if label.n == label.m:
         raise ValueError("solve_nonidentical requires n != m")
     case = TranscendentalCase(U=float(U), s=label.case_sign)
     low, high = sorted((label.n, label.m))
     if U == 0.0:
-        return MomentumPair(high * np.pi, low * np.pi, case, label), 0
+        pair = MomentumPair(high * np.pi, low * np.pi, case, label)
+        return pair, transcend.verify_solution(pair), 0
 
     energy = cimethod.energy_for_state(U, label, n_max)
     theta0 = float(np.arctan2(label.m * np.pi, label.n * np.pi))
@@ -189,5 +191,4 @@ def _solve_detailed(
     pair = MomentumPair(a, b, case, label)
     # Rejects the spurious root families of the polynomial form (vanishing
     # momenta, non-interacting points) that a bad energy seed can land on.
-    transcend.verify_solution(pair)
-    return pair, report.iterations
+    return pair, transcend.verify_solution(pair), report.iterations

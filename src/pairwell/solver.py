@@ -3,8 +3,11 @@
 Equal quantum numbers go through the perturbative seed and complex Newton
 (continuation from smaller |U| once outside the seed's trust region);
 unequal numbers go through the variational-energy reduced path.  Every
-returned pair is validated against the quantization conditions and the
-solution invariants before it leaves this module.
+Newton solve here, perturbative, continuation step or warm sweep step, is
+one validated step: the root is ordered, checked by
+:func:`transcend.verify_solution` and held to the residual ceiling
+max(1e-10, Newton residual tolerance).  The reduced path's pair is held to
+the same ceiling, so every pair that leaves this module has passed it.
 """
 
 from __future__ import annotations
@@ -96,17 +99,13 @@ def _ordered(k1: complex, k2: complex) -> tuple[complex, complex]:
     return (k1, k2) if k1.real >= k2.real else (k2, k1)
 
 
-def _validated(k1: complex, k2: complex, case: TranscendentalCase,
-               label: StateLabel,
-               ceiling: float = _RESIDUAL_CEILING) -> tuple[MomentumPair, float]:
-    k1, k2 = _ordered(k1, k2)
-    pair = MomentumPair(k1, k2, case, label)
-    residual_norm = transcend.verify_solution(pair)
+def _accepted(residual_norm: float, config: NewtonConfig) -> float:
+    ceiling = max(_RESIDUAL_CEILING, config.residual_tolerance)
     if residual_norm > ceiling:
         raise SolutionRejected(
             f"residual {residual_norm:.3e} exceeds {ceiling:.0e}"
         )
-    return pair, residual_norm
+    return residual_norm
 
 
 def _exact_noninteracting(label: StateLabel) -> MomentumPair:
@@ -116,38 +115,47 @@ def _exact_noninteracting(label: StateLabel) -> MomentumPair:
 
 
 def _newton_pair(case: TranscendentalCase, seed, config: NewtonConfig):
-    report = newton_solve(
+    return newton_solve(
         lambda k: transcend.residual(case, k),
         lambda k: transcend.jacobian(case, k),
         np.asarray(seed, dtype=complex),
         config,
     )
-    return report
+
+
+def _step(label: StateLabel, U: float, seed, config: NewtonConfig,
+          ) -> tuple[MomentumPair, float, int]:
+    """Newton from ``seed`` at strength U: validated pair, residual, iterations.
+
+    Raises NoConvergence or SingularJacobian when Newton fails and
+    SolutionRejected when the root is spurious or misses the ceiling.
+    """
+    case = TranscendentalCase(U=U, s=label.case_sign)
+    report = _newton_pair(case, seed, config)
+    pair = MomentumPair(*_ordered(*report.solution), case, label)
+    residual_norm = _accepted(transcend.verify_solution(pair), config)
+    return pair, residual_norm, report.iterations
 
 
 def _solve_identical(U: float, label: StateLabel, config: NewtonConfig,
                      ) -> tuple[MomentumPair, SolveDiagnostics]:
-    case = TranscendentalCase(U=U, s=1)
-    ceiling = max(_RESIDUAL_CEILING, config.residual_tolerance)
     if abs(U) <= perturb.TRUST_REGION:
-        report = _newton_pair(case, perturb.initial_guess(label, U), config)
-        pair, residual_norm = _validated(*report.solution, case, label, ceiling)
-        return pair, SolveDiagnostics(report.iterations, residual_norm, "perturbative")
+        pair, residual_norm, iterations = _step(
+            label, U, perturb.initial_guess(label, U), config)
+        return pair, SolveDiagnostics(iterations, residual_norm, "perturbative")
 
     # March from the trust-region edge out to U, reseeding Newton with the
     # previous root at every step.
     edge = np.copysign(perturb.TRUST_REGION, U)
     steps = int(np.ceil((abs(U) - perturb.TRUST_REGION) / _CONTINUATION_STEP))
     grid = np.linspace(edge, U, steps + 1)
-    seed = np.array(perturb.initial_guess(label, float(grid[0])), dtype=complex)
+    seed = perturb.initial_guess(label, float(grid[0]))
     iterations = 0
-    report = None
     for strength in grid:
-        step_case = TranscendentalCase(U=float(strength), s=1)
-        report = _newton_pair(step_case, seed, config)
-        seed = report.solution
-        iterations += report.iterations
-    pair, residual_norm = _validated(*report.solution, case, label, ceiling)
+        pair, residual_norm, step_iterations = _step(
+            label, float(strength), seed, config)
+        seed = (pair.k1, pair.k2)
+        iterations += step_iterations
     return pair, SolveDiagnostics(iterations, residual_norm, "continuation")
 
 
@@ -163,14 +171,9 @@ def solve_with_diagnostics(request: SolveRequest) -> tuple[MomentumPair, SolveDi
         return pair, SolveDiagnostics(0, residual_norm, "exact-zero")
     if label.n == label.m:
         return _solve_identical(float(request.U), label, config)
-    pair, iterations = reduced._solve_detailed(
+    pair, residual_norm, iterations = reduced._solve_detailed(
         float(request.U), label, request.n_max, config)
-    residual_norm = transcend.verify_solution(pair)
-    ceiling = max(_RESIDUAL_CEILING, config.residual_tolerance)
-    if residual_norm > ceiling:
-        raise SolutionRejected(
-            f"residual {residual_norm:.3e} exceeds {ceiling:.0e}"
-        )
+    _accepted(residual_norm, config)
     return pair, SolveDiagnostics(iterations, residual_norm, "reduced")
 
 
@@ -192,17 +195,19 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
     """Solve along a uniform strength grid by natural continuation.
 
     The march starts at the grid point nearest zero (where seeds are
-    guaranteed good) and works outward, seeding each Newton solve with the
-    previous root.  The first point of each directional chain, and any point
-    after a failure, is solved fresh from scratch.  A step whose momenta move
-    more than ten times the previous step's movement is treated as a branch
-    jump and re-solved fresh; a step that still fails is recorded as a gap
-    and the march continues.
+    guaranteed good) and works outward, each point one validated Newton step
+    seeded with the previous root and held to the same residual ceiling as
+    :func:`solve_state`.  The first point of each directional chain, and any
+    point after a failure, is solved fresh through :func:`solve_state`.  A
+    step whose momenta move more than ten times the previous step's movement
+    is treated as a branch jump and re-solved fresh; a step that still fails
+    is recorded as a gap and the march continues.
     """
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
     config = newton or NewtonConfig()
     grid = np.linspace(u_start, u_end, steps)
+    delta_u = abs(grid[1] - grid[0])
     points: dict[int, SweepPoint] = {}
 
     def fresh(strength: float) -> MomentumPair:
@@ -214,29 +219,23 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
         previous_delta: float | None = None
         for index in indices:
             strength = float(grid[index])
-            delta_u = abs(grid[1] - grid[0]) if steps > 1 else 1.0
             pair = None
-            if strength == 0.0:
-                pair = _exact_noninteracting(label)
-            else:
-                if previous is not None:
-                    try:
-                        case = TranscendentalCase(U=strength, s=label.case_sign)
-                        report = _newton_pair(
-                            case, [previous.k1, previous.k2], config)
-                        pair, _ = _validated(*report.solution, case, label)
-                    except (NoConvergence, SolutionRejected):
+            if previous is not None:
+                try:
+                    pair, _, _ = _step(label, strength,
+                                       (previous.k1, previous.k2), config)
+                except (NoConvergence, SolutionRejected):
+                    pass
+                if pair is not None and previous_delta is not None:
+                    movement = max(abs(pair.k1 - previous.k1),
+                                   abs(pair.k2 - previous.k2))
+                    if movement > _GUARD_FACTOR * max(previous_delta, delta_u):
                         pair = None
-                    if pair is not None and previous_delta is not None:
-                        movement = max(abs(pair.k1 - previous.k1),
-                                       abs(pair.k2 - previous.k2))
-                        if movement > _GUARD_FACTOR * max(previous_delta, delta_u):
-                            pair = None
-                if pair is None:
-                    try:
-                        pair = fresh(strength)
-                    except PairwellError:
-                        pair = None
+            if pair is None:
+                try:
+                    pair = fresh(strength)
+                except PairwellError:
+                    pair = None
             if pair is None:
                 points[index] = SweepPoint(strength, None, None, None)
                 previous = None
@@ -254,10 +253,9 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
     order = [int(i) for i in np.argsort(np.abs(grid), kind="stable")]
     negative = [i for i in order if grid[i] < 0.0]
     positive = [i for i in order if grid[i] > 0.0]
-    zero = [i for i in order if grid[i] == 0.0]
-    for index in zero:
-        points[index] = SweepPoint(0.0, _exact_noninteracting(label),
-                                   _exact_noninteracting(label).energy, 0.0)
+    exact = _exact_noninteracting(label)
+    for index in np.flatnonzero(grid == 0.0):
+        points[int(index)] = SweepPoint(0.0, exact, exact.energy, 0.0)
     march(negative)
     march(positive)
 

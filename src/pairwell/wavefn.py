@@ -26,8 +26,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateState, IdenticallyZero
-from .numerics import simpson_2d
-from .transcend import MomentumPair, StateLabel
+from .numerics import _simpson_weights, simpson_2d
+from .transcend import MomentumPair, StateLabel, TranscendentalCase
 
 __all__ = [
     "SingletWavefunction",
@@ -91,7 +91,6 @@ class SingletWavefunction:
     pair: MomentumPair
     s: int
     norm: float
-    box_length: float = 1.0
 
     def value(self, x1, x2):
         """Normalized amplitude at scaled positions."""
@@ -140,9 +139,7 @@ class DensityGrid:
     def simpson_integral(self) -> float:
         """Simpson integral of the stored density over the unit square."""
         panels = self.resolution - 1
-        weights = np.ones(self.resolution)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
+        weights = _simpson_weights(panels)
         h = 1.0 / panels
         return float(
             (h / 3.0) ** 2 * weights @ self.values @ weights
@@ -177,21 +174,43 @@ def normalize(pair: MomentumPair, s: int | None = None) -> SingletWavefunction:
     return SingletWavefunction(pair=pair, s=sign, norm=1.0 / np.sqrt(integral))
 
 
-def density_grid(wavefunction: SingletWavefunction,
-                 resolution: int = _DEFAULT_RESOLUTION) -> DensityGrid:
-    """Sample the probability density on an odd inclusive grid."""
+def _axis(resolution: int) -> NDArray[np.float64]:
+    """Inclusive sample axis over [0, 1]; odd so it doubles as a Simpson rule."""
     resolution = int(resolution)
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError(f"resolution must be odd and >= 3, got {resolution}")
-    xs = np.linspace(0.0, 1.0, resolution)
+    return np.linspace(0.0, 1.0, resolution)
+
+
+def density_grid(wavefunction: SingletWavefunction,
+                 resolution: int = _DEFAULT_RESOLUTION) -> DensityGrid:
+    """Sample the probability density on an odd inclusive grid."""
+    xs = _axis(resolution)
     values = wavefunction.density(xs[:, None], xs[None, :])
     return DensityGrid(
-        resolution=resolution,
+        resolution=xs.size,
         values=values,
         pair=wavefunction.pair,
         s=wavefunction.s,
         norm=wavefunction.norm,
     )
+
+
+def _triplet_grid(U: float, label: StateLabel, resolution: int) -> DensityGrid:
+    """Density of the normalized triplet factor of distinct modes n, m."""
+    if label.n == label.m:
+        raise IdenticallyZero("triplet density requires n != m")
+    xs = _axis(resolution)
+    pair = MomentumPair(
+        k1=max(label.n, label.m) * np.pi,
+        k2=min(label.n, label.m) * np.pi,
+        case=TranscendentalCase(U=U, s=-1),
+        label=label,
+    )
+    values = np.abs(triplet_amplitude(label.n, label.m,
+                                      xs[:, None], xs[None, :])) ** 2
+    return DensityGrid(resolution=xs.size, values=values, pair=pair, s=-1,
+                       norm=1.0)
 
 
 def schrodinger_residual(wavefunction: SingletWavefunction,

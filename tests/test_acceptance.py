@@ -242,7 +242,7 @@ def test_criterion_10_sweep_shape_properties():
 
 
 def test_criterion_11_density_normalization():
-    from pairwell.cli import _triplet_grid
+    from pairwell.wavefn import _triplet_grid
 
     grids = [
         density_grid(normalize(_solved(-1.0, 2, 2)), 201),

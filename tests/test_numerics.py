@@ -145,10 +145,6 @@ class TestSimpson:
         fine = abs(simpson_1d(np.exp, 0.0, 1.0, 100) - exact)
         assert 10.0 < coarse / fine < 22.0
 
-    def test_scalar_only_integrand(self):
-        value = simpson_1d(lambda x: math.sin(math.pi * x), 0.0, 1.0, 100)
-        assert abs(value - 2.0 / np.pi) < 1e-8
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_nonfinite_integrand(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pairwell import solver
-from pairwell.errors import NoConvergence
-from pairwell.numerics import NewtonConfig
+from pairwell.errors import NoConvergence, SolutionRejected
+from pairwell.numerics import NewtonConfig, NewtonReport
 from pairwell.solver import SolveRequest, solve, solve_with_diagnostics, sweep
 from pairwell.transcend import StateLabel, verify_solution
 
@@ -81,6 +81,22 @@ class TestSolveState:
     def test_loose_tolerance_still_validates(self):
         pair = solve(-1.0, 1, 1, newton=NewtonConfig(residual_tolerance=1e-8))
         assert round(pair.k1.real, 2) == 3.06
+
+    def test_rejected_intermediate_continuation_step_raises(self, monkeypatch):
+        # solve(-5, 1, 1) marches -2, -2.5, ..., -5.  At -3.5 Newton claims
+        # convergence but hands back its seed, the root at -3.0, which misses
+        # the residual ceiling at -3.5.  The march must stop there instead of
+        # seeding the next step from it and recovering.
+        original = solver._newton_pair
+
+        def false_convergence(case, seed, config):
+            if abs(case.U + 3.5) < 1e-12:
+                return NewtonReport(np.asarray(seed, dtype=complex), 0, 0.0, True)
+            return original(case, seed, config)
+
+        monkeypatch.setattr(solver, "_newton_pair", false_convergence)
+        with pytest.raises(SolutionRejected, match="exceeds"):
+            solve(-5.0, 1, 1)
 
 
 class TestSweep:
