@@ -27,7 +27,6 @@ from .errors import (
     DegenerateDenominator,
     DegenerateState,
     IdenticallyZero,
-    InvalidReduction,
     LabelNotFound,
     NoConvergence,
     PairwellError,
@@ -44,7 +43,6 @@ from .numerics import (
     simpson_2d,
 )
 from .perturb import PerturbativeShift, initial_guess, radicand, shifts
-from .reduced import ReducedParams, params_to_momenta, solve_nonidentical
 from .solver import (
     SolveRequest,
     SweepPoint,
@@ -82,7 +80,6 @@ __all__ = [
     "DegenerateState",
     "DensityGrid",
     "IdenticallyZero",
-    "InvalidReduction",
     "LabelNotFound",
     "MomentumPair",
     "NewtonConfig",
@@ -90,7 +87,6 @@ __all__ = [
     "NoConvergence",
     "PairwellError",
     "PerturbativeShift",
-    "ReducedParams",
     "ReductionFailed",
     "SingletWavefunction",
     "SingularJacobian",
@@ -111,7 +107,6 @@ __all__ = [
     "kinetic_element",
     "newton_solve",
     "normalize",
-    "params_to_momenta",
     "radicand",
     "residual",
     "schrodinger_residual",
@@ -120,7 +115,6 @@ __all__ = [
     "simpson_2d",
     "singlet_amplitude",
     "solve",
-    "solve_nonidentical",
     "solve_state",
     "solve_with_diagnostics",
     "spectrum",

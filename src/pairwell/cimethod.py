@@ -157,12 +157,14 @@ def build_hamiltonian(basis: SymmetricBasis, U: float) -> CIHamiltonian:
 
 @functools.lru_cache(maxsize=32)
 def _eigensystem(U: float, n_max: int):
-    """Eigenvalues ascending and eigenvectors as columns of the full basis.
+    """Eigenvalues ascending, eigenvectors as columns of the full basis, and
+    the basis index of each level's dominant state.
 
     Each parity block is diagonalized on its own, so every eigenvector is
     exactly zero outside its block and near-degenerate levels of opposite
-    parity can never mix.  Exactly degenerate levels are listed in the order
-    of their dominant basis states.
+    parity can never mix.  The dominant state is the first largest weight,
+    which is the lexicographically smallest (n, m) on ties.  Exactly
+    degenerate levels are listed in the order of their dominant states.
     """
     if not np.isfinite(U):
         raise ValueError("interaction strength must be finite")
@@ -182,32 +184,26 @@ def _eigensystem(U: float, n_max: int):
     order = np.lexsort((dominant, eigenvalues))
     eigenvalues = eigenvalues[order]
     eigenvectors = eigenvectors[:, order]
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return basis, eigenvalues, eigenvectors
-
-
-def _dominant_state(basis: SymmetricBasis, coefficients: np.ndarray) -> tuple[int, int]:
-    """Basis state with the largest weight; argmax keeps the first maximum,
-    which is the lexicographically smallest (n, m) on ties."""
-    return basis.states[int(np.argmax(np.abs(coefficients)))]
+    dominant = dominant[order]
+    for array in (eigenvalues, eigenvectors, dominant):
+        array.setflags(write=False)
+    return basis, eigenvalues, eigenvectors, dominant
 
 
 def spectrum(U: float, n_max: int = DEFAULT_N_MAX, levels: int = 4) -> list[CIEigenstate]:
     """Lowest ``levels`` eigenstates, ascending, with dominant parent labels."""
-    basis, eigenvalues, eigenvectors = _eigensystem(float(U), int(n_max))
+    basis, eigenvalues, eigenvectors, dominant = _eigensystem(float(U), int(n_max))
     if levels < 1 or levels > len(basis):
         raise ValueError(
             f"levels must be between 1 and the basis size {len(basis)}, got {levels}"
         )
     states = []
     for level in range(levels):
-        coefficients = eigenvectors[:, level]
-        small, big = _dominant_state(basis, coefficients)
+        small, big = basis.states[dominant[level]]
         states.append(
             CIEigenstate(
                 energy=float(eigenvalues[level]),
-                coefficients=coefficients,
+                coefficients=eigenvectors[:, level],
                 dominant_label=StateLabel(n=big, m=small),
             )
         )
@@ -223,12 +219,11 @@ def energy_for_state(U: float, label: StateLabel, n_max: int = DEFAULT_N_MAX) ->
     Raises:
         LabelNotFound: the label is outside the basis or never dominant.
     """
-    basis, eigenvalues, eigenvectors = _eigensystem(float(U), int(n_max))
+    basis, eigenvalues, _, dominant = _eigensystem(float(U), int(n_max))
     target = (min(label.n, label.m), max(label.n, label.m))
-    basis.index_of(*target)
-    for level in range(len(basis)):
-        if _dominant_state(basis, eigenvectors[:, level]) == target:
-            return float(eigenvalues[level])
+    levels = np.flatnonzero(dominant == basis.index_of(*target))
+    if levels.size:
+        return float(eigenvalues[levels[0]])
     raise LabelNotFound(
         f"no eigenstate with dominant label {target} at n_max={n_max}"
     )

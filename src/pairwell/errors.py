@@ -33,10 +33,6 @@ class WrongSolvePath(PairwellError, ValueError):
     """A routine restricted to equal quantum numbers was called with n != m."""
 
 
-class InvalidReduction(PairwellError, ValueError):
-    """Energy-constrained momentum parameters with E + rho^2 < 0."""
-
-
 class ReductionFailed(PairwellError):
     """The constrained least-squares stage stagnated far from a root."""
 

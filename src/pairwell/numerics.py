@@ -23,29 +23,28 @@ __all__ = [
     "simpson_2d",
 ]
 
+# Trial steps of the Newton line search before the last halved step is taken.
+_MAX_HALVINGS = 20
+
 
 @dataclasses.dataclass(frozen=True)
 class NewtonConfig:
     """Tunables for :func:`newton_solve`.
 
     ``residual_tolerance`` is tested against the max-norm of the residual,
-    ``step_tolerance`` against the max-norm of the damped update.  Damping is
-    a halving line search capped at ``max_halvings`` trial steps.
+    ``step_tolerance`` against the max-norm of the damped update.  Every step
+    is damped by a halving line search of at most ``_MAX_HALVINGS`` trials.
     """
 
     max_iterations: int = 100
     residual_tolerance: float = 1e-12
     step_tolerance: float = 1e-14
-    damping_enabled: bool = True
-    max_halvings: int = 20
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.residual_tolerance <= 0 or self.step_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,8 +81,8 @@ def newton_solve(
     real and imaginary parts; for analytic residuals this reproduces the
     complex Newton step exactly, and the real-only path is the N-dimensional
     special case.  Each linear step is solved by direct elimination with
-    partial pivoting.  With damping enabled, the step is halved until the
-    residual norm decreases or the halving budget runs out.
+    partial pivoting.  The step is halved until the residual norm decreases
+    or the halving budget runs out.
 
     Raises:
         SingularJacobian: the linear solve failed or produced non-finite
@@ -157,13 +156,12 @@ def newton_solve(
             raise SingularJacobian("linear solve overflowed")
 
         scale = 1.0
-        if cfg.damping_enabled:
-            for _ in range(cfg.max_halvings):
-                trial = eval_residual(u + scale * step)
-                tnorm = float(np.max(np.abs(trial)))
-                if np.isfinite(tnorm) and tnorm < rnorm:
-                    break
-                scale *= 0.5
+        for _ in range(_MAX_HALVINGS):
+            trial = eval_residual(u + scale * step)
+            tnorm = float(np.max(np.abs(trial)))
+            if np.isfinite(tnorm) and tnorm < rnorm:
+                break
+            scale *= 0.5
         u = u + scale * step
         r = eval_residual(u)
         steps += 1

@@ -1,4 +1,4 @@
-"""Energy-constrained reparameterization and the unequal-number solve path.
+"""Energy-constrained reparameterization and the unequal-number root search.
 
 Writing the momenta as
 
@@ -12,25 +12,25 @@ unknowns to two, which is what lets Newton-type iteration succeed for states
 whose quantum numbers differ.
 
 The variational energy carries truncation error, so the constrained stage
-cannot zero both residual components exactly.  The solve therefore runs in
+cannot zero both residual components exactly.  The search therefore runs in
 two stages: a damped Gauss-Newton least-squares pass over (rho, theta) at
 fixed E to land in the right basin, then an unconstrained Newton polish on
 the real momentum pair that removes the energy constraint and drives the
-residual to tolerance.
+residual to tolerance.  The root it returns is not yet a state: the solver
+orders and verifies it through the same acceptance gate as every other
+Newton root, and handles U = 0 and n = m before dispatching here.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import cimethod, transcend
-from .errors import InvalidReduction, ReductionFailed
+from .errors import ReductionFailed
 from .numerics import NewtonConfig, newton_solve
-from .transcend import MomentumPair, StateLabel, TranscendentalCase
+from .transcend import StateLabel, TranscendentalCase
 
-__all__ = ["ReducedParams", "params_to_momenta", "solve_nonidentical"]
+__all__: list[str] = []
 
 _GAUSS_NEWTON_MAX_ITERATIONS = 200
 _GAUSS_NEWTON_STEP_TOLERANCE = 1e-12
@@ -39,38 +39,12 @@ _GAUSS_NEWTON_STEP_TOLERANCE = 1e-12
 _STAGE_A_RESIDUAL_CEILING = 0.5
 
 
-@dataclasses.dataclass(frozen=True)
-class ReducedParams:
-    """Real-energy momentum parameters (E, rho, theta)."""
-
-    energy: float
-    rho: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise InvalidReduction("rho must be nonnegative")
-        if self.energy + self.rho**2 < 0:
-            raise InvalidReduction(
-                f"E + rho^2 = {self.energy + self.rho**2:.3e} must be nonnegative"
-            )
-
-    @property
-    def omega(self) -> float:
-        return float(np.sqrt(self.energy + self.rho**2))
-
-
 def _momenta(energy: float, rho: float, theta: float) -> tuple[complex, complex]:
     omega = np.sqrt(energy + rho * rho)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     k1 = omega * sin_t + 1j * rho * cos_t
     k2 = omega * cos_t - 1j * rho * sin_t
     return complex(k1), complex(k2)
-
-
-def params_to_momenta(params: ReducedParams) -> tuple[complex, complex]:
-    """Momentum pair for ``params``; k1^2 + k2^2 equals the stored energy."""
-    return _momenta(params.energy, params.rho, params.theta)
 
 
 def _stage_a(case: TranscendentalCase, energy: float, theta0: float) -> tuple[complex, complex]:
@@ -142,53 +116,27 @@ def _stage_a(case: TranscendentalCase, energy: float, theta0: float) -> tuple[co
     return _momenta(energy, rho, theta)
 
 
-def solve_nonidentical(
-    U: float,
-    label: StateLabel,
-    n_max: int = cimethod.DEFAULT_N_MAX,
-    config: NewtonConfig | None = None,
-) -> MomentumPair:
-    """Momentum pair for a state with unequal quantum numbers.
-
-    The case sign follows parity: wave numbers of different parity satisfy
-    the ratio +1 system, same parity the ratio -1 system.  The energy seed
-    comes from the variational spectrum at cutoff ``n_max``; the returned
-    pair is purely real, ordered k1 > k2, with residual max-norm at Newton
-    tolerance.
-    """
-    return _solve_detailed(U, label, n_max, config)[0]
-
-
 def _solve_detailed(
     U: float,
     label: StateLabel,
     n_max: int,
-    config: NewtonConfig | None,
-) -> tuple[MomentumPair, float, int]:
-    """solve_nonidentical plus the verified residual max-norm and the
-    Newton iteration count of the polish."""
-    if label.n == label.m:
-        raise ValueError("solve_nonidentical requires n != m")
-    case = TranscendentalCase(U=float(U), s=label.case_sign)
-    low, high = sorted((label.n, label.m))
-    if U == 0.0:
-        pair = MomentumPair(high * np.pi, low * np.pi, case, label)
-        return pair, transcend.verify_solution(pair), 0
+    config: NewtonConfig,
+) -> tuple[np.ndarray, int]:
+    """Real root near the CI-seeded state ``label`` (n != m, U != 0).
 
+    The case sign follows parity: wave numbers of different parity satisfy
+    the ratio +1 system, same parity the ratio -1 system.  The energy seed
+    comes from the variational spectrum at cutoff ``n_max``.  Returns the
+    unordered, unverified root of the polish and its Newton iteration count.
+    """
+    case = TranscendentalCase(U=U, s=label.case_sign)
     energy = cimethod.energy_for_state(U, label, n_max)
     theta0 = float(np.arctan2(label.m * np.pi, label.n * np.pi))
     k1, k2 = _stage_a(case, energy, theta0)
-
     report = newton_solve(
         lambda k: transcend.residual(case, k),
         lambda k: transcend.jacobian(case, k),
         np.array([k1.real, k2.real]),
-        config or NewtonConfig(),
+        config,
     )
-    a, b = report.solution[0].real, report.solution[1].real
-    if a < b:
-        a, b = b, a
-    pair = MomentumPair(a, b, case, label)
-    # Rejects the spurious root families of the polynomial form (vanishing
-    # momenta, non-interacting points) that a bad energy seed can land on.
-    return pair, transcend.verify_solution(pair), report.iterations
+    return report.solution, report.iterations

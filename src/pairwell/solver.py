@@ -2,12 +2,11 @@
 
 Equal quantum numbers go through the perturbative seed and complex Newton
 (continuation from smaller |U| once outside the seed's trust region);
-unequal numbers go through the variational-energy reduced path.  Every
-Newton solve here, perturbative, continuation step or warm sweep step, is
-one validated step: the root is ordered, checked by
-:func:`transcend.verify_solution` and held to the residual ceiling
-max(1e-10, Newton residual tolerance).  The reduced path's pair is held to
-the same ceiling, so every pair that leaves this module has passed it.
+unequal numbers go through the variational-energy reduced path.  Whatever
+produced it, a Newton root becomes a pair only through one acceptance gate:
+the root is ordered, checked by :func:`transcend.verify_solution` and held
+to the residual ceiling max(1e-10, Newton residual tolerance), so every pair
+that leaves this module has passed it.
 """
 
 from __future__ import annotations
@@ -99,15 +98,6 @@ def _ordered(k1: complex, k2: complex) -> tuple[complex, complex]:
     return (k1, k2) if k1.real >= k2.real else (k2, k1)
 
 
-def _accepted(residual_norm: float, config: NewtonConfig) -> float:
-    ceiling = max(_RESIDUAL_CEILING, config.residual_tolerance)
-    if residual_norm > ceiling:
-        raise SolutionRejected(
-            f"residual {residual_norm:.3e} exceeds {ceiling:.0e}"
-        )
-    return residual_norm
-
-
 def _exact_noninteracting(label: StateLabel) -> MomentumPair:
     case = TranscendentalCase(U=0.0, s=label.case_sign)
     high, low = max(label.n, label.m), min(label.n, label.m)
@@ -123,17 +113,34 @@ def _newton_pair(case: TranscendentalCase, seed, config: NewtonConfig):
     )
 
 
+def _accept(case: TranscendentalCase, label: StateLabel, solution,
+            config: NewtonConfig) -> tuple[MomentumPair, float]:
+    """The gate that turns a Newton root into a pair: the ordered pair and
+    its verified residual max-norm.
+
+    Raises SolutionRejected when the root is spurious or its residual exceeds
+    the ceiling max(1e-10, Newton residual tolerance).
+    """
+    pair = MomentumPair(*_ordered(*solution), case, label)
+    residual_norm = transcend.verify_solution(pair)
+    ceiling = max(_RESIDUAL_CEILING, config.residual_tolerance)
+    if residual_norm > ceiling:
+        raise SolutionRejected(
+            f"residual {residual_norm:.3e} exceeds {ceiling:.0e}"
+        )
+    return pair, residual_norm
+
+
 def _step(label: StateLabel, U: float, seed, config: NewtonConfig,
           ) -> tuple[MomentumPair, float, int]:
-    """Newton from ``seed`` at strength U: validated pair, residual, iterations.
+    """Newton from ``seed`` at strength U: accepted pair, residual, iterations.
 
     Raises NoConvergence or SingularJacobian when Newton fails and
-    SolutionRejected when the root is spurious or misses the ceiling.
+    SolutionRejected when :func:`_accept` turns the root down.
     """
     case = TranscendentalCase(U=U, s=label.case_sign)
     report = _newton_pair(case, seed, config)
-    pair = MomentumPair(*_ordered(*report.solution), case, label)
-    residual_norm = _accepted(transcend.verify_solution(pair), config)
+    pair, residual_norm = _accept(case, label, report.solution, config)
     return pair, residual_norm, report.iterations
 
 
@@ -163,17 +170,18 @@ def solve_with_diagnostics(request: SolveRequest) -> tuple[MomentumPair, SolveDi
     """Like :func:`solve_state`, also reporting iteration counts and path."""
     label = request.label
     config = request.newton or NewtonConfig()
-    if request.U == 0.0:
+    U = float(request.U)
+    if U == 0.0:
         # The quantization conditions are degenerate at the double root
         # k1 = k2 = n pi, so the non-interacting answer is returned directly.
         pair = _exact_noninteracting(label)
         residual_norm = transcend.verify_solution(pair)
         return pair, SolveDiagnostics(0, residual_norm, "exact-zero")
     if label.n == label.m:
-        return _solve_identical(float(request.U), label, config)
-    pair, residual_norm, iterations = reduced._solve_detailed(
-        float(request.U), label, request.n_max, config)
-    _accepted(residual_norm, config)
+        return _solve_identical(U, label, config)
+    solution, iterations = reduced._solve_detailed(U, label, request.n_max, config)
+    pair, residual_norm = _accept(TranscendentalCase(U=U, s=label.case_sign),
+                                  label, solution, config)
     return pair, SolveDiagnostics(iterations, residual_norm, "reduced")
 
 
@@ -198,7 +206,8 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
     guaranteed good) and works outward, each point one validated Newton step
     seeded with the previous root and held to the same residual ceiling as
     :func:`solve_state`.  The first point of each directional chain, and any
-    point after a failure, is solved fresh through :func:`solve_state`.  A
+    point after a failure, is solved fresh through
+    :func:`solve_with_diagnostics`.  A
     step whose momenta move more than ten times the previous step's movement
     is treated as a branch jump and re-solved fresh; a step that still fails
     is recorded as a gap and the march continues.
@@ -210,9 +219,10 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
     delta_u = abs(grid[1] - grid[0])
     points: dict[int, SweepPoint] = {}
 
-    def fresh(strength: float) -> MomentumPair:
-        return solve_state(SolveRequest(U=strength, label=label,
-                                        newton=config, n_max=n_max))
+    def fresh(strength: float) -> tuple[MomentumPair, float]:
+        pair, diagnostics = solve_with_diagnostics(SolveRequest(
+            U=strength, label=label, newton=config, n_max=n_max))
+        return pair, diagnostics.residual_norm
 
     def march(indices: list[int]) -> None:
         previous: MomentumPair | None = None
@@ -222,8 +232,8 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
             pair = None
             if previous is not None:
                 try:
-                    pair, _, _ = _step(label, strength,
-                                       (previous.k1, previous.k2), config)
+                    pair, residual_norm, _ = _step(
+                        label, strength, (previous.k1, previous.k2), config)
                 except (NoConvergence, SolutionRejected):
                     pass
                 if pair is not None and previous_delta is not None:
@@ -233,7 +243,7 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
                         pair = None
             if pair is None:
                 try:
-                    pair = fresh(strength)
+                    pair, residual_norm = fresh(strength)
                 except PairwellError:
                     pair = None
             if pair is None:
@@ -244,10 +254,8 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
             if previous is not None:
                 previous_delta = max(abs(pair.k1 - previous.k1),
                                      abs(pair.k2 - previous.k2))
-            points[index] = SweepPoint(
-                strength, pair, pair.energy,
-                float(np.max(np.abs(transcend.residual(pair.case,
-                                                       (pair.k1, pair.k2))))))
+            points[index] = SweepPoint(strength, pair, pair.energy,
+                                       residual_norm)
             previous = pair
 
     order = [int(i) for i in np.argsort(np.abs(grid), kind="stable")]

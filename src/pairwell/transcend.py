@@ -37,6 +37,8 @@ __all__ = [
 _SIN_FLOOR = 1e-8
 # Residual level at which a candidate counts as a root for cross-checking.
 _ROOT_LEVEL = 1e-8
+# Relative distance below which two momenta count as equal.
+_COLLISION_LEVEL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,6 +145,8 @@ def verify_solution(pair: MomentumPair) -> float:
     cotangent forms are recomputed and must agree with the regularized root
     status; a candidate parked on a non-interacting point (both sines zero)
     is a spurious root of the polynomial form and is only accepted at U = 0.
+    Equal momenta with ratio sign -1 are rejected at any residual: the two
+    terms of the singlet amplitude then cancel and no state is left.
 
     Raises:
         SolutionRejected: spurious or inconsistent root.
@@ -156,6 +160,9 @@ def verify_solution(pair: MomentumPair) -> float:
         # so the k = 0 axes are root lines of the polynomial form; they do
         # not correspond to states.
         raise SolutionRejected("zero momentum is not a valid mode")
+
+    if case.s == -1 and abs(k1 - k2) <= _COLLISION_LEVEL * max(1.0, abs(k1)):
+        raise SolutionRejected("equal momenta make the s = -1 singlet vanish")
 
     sin1, sin2 = np.sin(k1), np.sin(k2)
     if abs(sin1) < _SIN_FLOOR and abs(sin2) < _SIN_FLOOR:

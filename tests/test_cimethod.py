@@ -5,7 +5,6 @@ import pytest
 
 from pairwell.cimethod import (
     SymmetricBasis,
-    _dominant_state,
     _eigensystem,
     basis_norm,
     build_hamiltonian,
@@ -165,10 +164,27 @@ class TestSpectrum:
         assert all(later <= earlier + 1e-12
                    for earlier, later in zip(energies, energies[1:]))
 
-    def test_dominant_tie_breaks_lexicographically(self):
-        basis = SymmetricBasis(2)
-        assert _dominant_state(basis, np.array([0.6, 0.6, 0.2])) == (1, 1)
-        assert _dominant_state(basis, np.array([0.2, 0.6, 0.6])) == (1, 2)
+    def test_dominant_tie_breaks_lexicographically(self, monkeypatch):
+        # Column j of each stand-in block solution weighs block states j and
+        # j + 1 equally; the label must be the first, smaller state.  At
+        # n_max = 3 the odd block is (1,2), (2,3) and the even block (1,1),
+        # (1,3), (2,2), (3,3).
+        def tied_eigh(block):
+            size = block.shape[0]
+            vectors = 0.6 * np.eye(size)
+            vectors[np.arange(1, size), np.arange(size - 1)] = 0.6
+            return 10.0 * size + np.arange(size), vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", tied_eigh)
+        _eigensystem.cache_clear()
+        try:
+            labels = [(s.dominant_label.n, s.dominant_label.m)
+                      for s in spectrum(0.125, n_max=3, levels=6)]
+            energy = energy_for_state(0.125, StateLabel(3, 1), n_max=3)
+        finally:
+            _eigensystem.cache_clear()
+        assert labels == [(2, 1), (3, 2), (1, 1), (3, 1), (2, 2), (3, 3)]
+        assert energy == 41.0
 
 
 class TestEnergyForState:
@@ -208,25 +224,25 @@ class TestEigensystem:
 
     @pytest.mark.parametrize("U", [-4.0, 3.0])
     def test_eigenvalues_ascending(self, U):
-        _, eigenvalues, _ = _eigensystem(U, 16)
+        _, eigenvalues, _, _ = _eigensystem(U, 16)
         assert np.all(np.diff(eigenvalues) >= 0.0)
 
     @pytest.mark.parametrize("U", [-4.0, 3.0])
     def test_eigenpair_residual(self, U):
-        basis, eigenvalues, eigenvectors = _eigensystem(U, 16)
+        basis, eigenvalues, eigenvectors, _ = _eigensystem(U, 16)
         matrix = build_hamiltonian(basis, U).matrix
         residual = matrix @ eigenvectors - eigenvectors * eigenvalues
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(matrix)
 
     @pytest.mark.parametrize("U", [-4.0, 3.0])
     def test_eigenvectors_orthonormal(self, U):
-        basis, _, eigenvectors = _eigensystem(U, 16)
+        basis, _, eigenvectors, _ = _eigensystem(U, 16)
         gram = eigenvectors.T @ eigenvectors
         assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-12
 
     @pytest.mark.parametrize("U", [-4.0, 3.0])
     def test_eigenvectors_stay_in_parity_block(self, U):
-        basis, _, eigenvectors = _eigensystem(U, 16)
+        basis, _, eigenvectors, _ = _eigensystem(U, 16)
         parity = np.array([(n + m) % 2 for n, m in basis.states])
         for column in eigenvectors.T:
             block = parity[int(np.argmax(np.abs(column)))]
@@ -241,8 +257,8 @@ class TestEigensystem:
 
     @pytest.mark.parametrize("n_max, level", [(12, 46), (16, 78), (16, 98)])
     def test_noninteracting_ties_follow_basis_order(self, n_max, level):
-        _, eigenvalues, eigenvectors = _eigensystem(0.0, n_max)
-        dominant = np.argmax(np.abs(eigenvectors), axis=0)
+        _, eigenvalues, eigenvectors, dominant = _eigensystem(0.0, n_max)
+        assert np.array_equal(dominant, np.argmax(np.abs(eigenvectors), axis=0))
         assert list(zip(eigenvalues, dominant)) == sorted(zip(eigenvalues, dominant))
         assert eigenvalues[level] == eigenvalues[level + 1]
         assert dominant[level] < dominant[level + 1]

@@ -8,6 +8,7 @@ from pairwell.errors import NoConvergence, SolutionRejected
 from pairwell.numerics import NewtonConfig, NewtonReport
 from pairwell.solver import SolveRequest, solve, solve_with_diagnostics, sweep
 from pairwell.transcend import StateLabel, verify_solution
+from pairwell.wavefn import normalize
 
 PI = np.pi
 
@@ -144,6 +145,15 @@ class TestSweep:
         assert result.points[-1].pair.k1 == 2.0 * PI
         assert result.points[0].pair.k1 == pytest.approx(6.052, abs=5e-3)
 
+    def test_unequal_sweep_points_normalize(self):
+        # Past U = -4.5 warm (2,1) steps land on k1 = k2, where the s = -1
+        # singlet vanishes; those points must be gaps.
+        result = sweep(StateLabel(2, 1), -6.0, 0.0, 13)
+        accepted = [point.pair for point in result.points if point.pair is not None]
+        assert len(accepted) >= 9
+        for pair in accepted:
+            normalize(pair)
+
     def test_requires_two_steps(self):
         with pytest.raises(ValueError):
             sweep(StateLabel(1, 1), -1.0, 0.0, 1)
@@ -184,7 +194,7 @@ class TestSweep:
         def broken(request):
             raise RuntimeError("not a numerical failure")
 
-        monkeypatch.setattr(solver, "solve_state", broken)
+        monkeypatch.setattr(solver, "solve_with_diagnostics", broken)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
             sweep(StateLabel(1, 1), -2.0, -1.0, 5)
 

@@ -143,6 +143,21 @@ class TestVerifySolution:
         pair = solve(-1.0, 2, 1)
         assert verify_solution(pair) <= 1e-10
 
+    def test_equal_momenta_rejected_for_negative_ratio_sign(self):
+        # The (2,1) root family warm sweep steps reach past U = -4.5: an
+        # exact root of both conditions whose s = -1 singlet vanishes.
+        k = 4.3826255266
+        collided = MomentumPair(
+            k, k * (1.0 + 1e-12), TranscendentalCase(U=-6.0, s=-1), StateLabel(2, 1),
+        )
+        with pytest.raises(SolutionRejected, match="singlet vanish"):
+            verify_solution(collided)
+        # The same momenta with ratio sign +1 are not a collision.
+        same_sign = MomentumPair(
+            k, k, TranscendentalCase(U=-6.0, s=1), StateLabel(3, 1),
+        )
+        assert verify_solution(same_sign) > 0.0
+
 
 class TestDomainTypes:
     def test_case_validation(self):
