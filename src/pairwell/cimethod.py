@@ -192,11 +192,12 @@ def _eigensystem(U: float, n_max: int):
 
 def spectrum(U: float, n_max: int = DEFAULT_N_MAX, levels: int = 4) -> list[CIEigenstate]:
     """Lowest ``levels`` eigenstates, ascending, with dominant parent labels."""
-    basis, eigenvalues, eigenvectors, dominant = _eigensystem(float(U), int(n_max))
-    if levels < 1 or levels > len(basis):
+    size = len(SymmetricBasis(int(n_max)))
+    if levels < 1 or levels > size:
         raise ValueError(
-            f"levels must be between 1 and the basis size {len(basis)}, got {levels}"
+            f"levels must be between 1 and the basis size {size}, got {levels}"
         )
+    basis, eigenvalues, eigenvectors, dominant = _eigensystem(float(U), int(n_max))
     states = []
     for level in range(levels):
         small, big = basis.states[dominant[level]]

@@ -118,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_label(n: int, m: int) -> StateLabel:
-    if n < 1 or m < 1:
-        raise ValueError("quantum numbers n and m must be >= 1")
-    return StateLabel(n=n, m=m)
-
-
 def _pair_results(pair: MomentumPair, diagnostics: solver.SolveDiagnostics) -> dict:
     return {
         "re_k1": pair.k1.real,
@@ -138,12 +132,9 @@ def _pair_results(pair: MomentumPair, diagnostics: solver.SolveDiagnostics) -> d
 
 
 def _cmd_solve(args, out: IO[str]) -> int:
-    label = _check_label(args.n, args.m)
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
     request = solver.SolveRequest(
         U=args.U,
-        label=label,
+        label=StateLabel(n=args.n, m=args.m),
         newton=NewtonConfig(residual_tolerance=args.tol),
         n_max=args.basis,
     )
@@ -188,10 +179,8 @@ def _sweep_csv_lines(result: solver.SweepResult):
 
 
 def _cmd_sweep(args, out: IO[str]) -> int:
-    label = _check_label(args.n, args.m)
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
-    result = solver.sweep(label, args.U_start, args.U_end, args.steps)
+    result = solver.sweep(StateLabel(n=args.n, m=args.m),
+                          args.U_start, args.U_end, args.steps)
     for line in _sweep_csv_lines(result):
         out.write(line + "\n")
     return 0
@@ -216,7 +205,7 @@ def _density_csv_lines(grid: wavefn.DensityGrid):
 
 
 def _cmd_density(args, out: IO[str]) -> int:
-    label = _check_label(args.n, args.m)
+    label = StateLabel(n=args.n, m=args.m)
     if args.symmetry == "triplet":
         grid = wavefn._triplet_grid(args.U, label, args.grid)
     else:
@@ -228,12 +217,6 @@ def _cmd_density(args, out: IO[str]) -> int:
 
 
 def _cmd_ci(args, out: IO[str]) -> int:
-    if args.basis < 1:
-        raise ValueError("--basis must be >= 1")
-    basis_size = args.basis * (args.basis + 1) // 2
-    if args.levels < 1 or args.levels > basis_size:
-        raise ValueError(
-            f"--levels must be between 1 and the basis size {basis_size}")
     states = cimethod.spectrum(args.U, args.basis, args.levels)
     rows = [
         {

@@ -34,7 +34,8 @@ class WrongSolvePath(PairwellError, ValueError):
 
 
 class ReductionFailed(PairwellError):
-    """The constrained least-squares stage stagnated far from a root."""
+    """The constrained least-squares stage had a nonpositive energy seed or
+    stagnated far from a root."""
 
 
 class LabelNotFound(PairwellError, LookupError):

@@ -43,8 +43,10 @@ class NewtonConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.residual_tolerance <= 0 or self.step_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        # Chained comparisons are false for nan as well as out of range.
+        if not (0.0 < self.residual_tolerance < np.inf
+                and 0.0 < self.step_tolerance < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)

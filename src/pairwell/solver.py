@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from . import cimethod, perturb, reduced, transcend
-from .errors import NoConvergence, PairwellError, SolutionRejected
+from .errors import PairwellError, SolutionRejected
 from .numerics import NewtonConfig, newton_solve
 from .transcend import MomentumPair, StateLabel, TranscendentalCase
 
@@ -234,7 +234,7 @@ def sweep(label: StateLabel, u_start: float, u_end: float, steps: int,
                 try:
                     pair, residual_norm, _ = _step(
                         label, strength, (previous.k1, previous.k2), config)
-                except (NoConvergence, SolutionRejected):
+                except PairwellError:
                     pass
                 if pair is not None and previous_delta is not None:
                     movement = max(abs(pair.k1 - previous.k1),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pairwell import cimethod
 from pairwell.cimethod import (
     SymmetricBasis,
     _eigensystem,
@@ -157,6 +158,18 @@ class TestSpectrum:
             spectrum(0.0, n_max=2, levels=4)
         with pytest.raises(ValueError):
             spectrum(0.0, n_max=2, levels=0)
+
+    def test_bad_request_is_rejected_before_assembly(self, monkeypatch):
+        # An impossible level count or cutoff must not cost a matrix build
+        # and eigensolve (at cutoff 60 that is an 1830 x 1830 matrix).
+        def no_build(basis, U):
+            raise AssertionError("build_hamiltonian called")
+
+        monkeypatch.setattr(cimethod, "build_hamiltonian", no_build)
+        _eigensystem.cache_clear()
+        for n_max, levels in ((60, 0), (60, 1831), (0, 1)):
+            with pytest.raises(ValueError, match="levels|cutoff"):
+                spectrum(0.5, n_max=n_max, levels=levels)
 
     def test_variational_monotonicity(self):
         energies = [spectrum(-1.0, n_max=cutoff, levels=1)[0].energy

@@ -83,6 +83,8 @@ class TestUsageErrors:
         [
             ("solve", "--U", "-1", "--n", "0", "--m", "1"),
             ("solve", "--U", "-1", "--n", "1", "--m", "1", "--tol", "-1"),
+            ("solve", "--U", "-1", "--n", "1", "--m", "1", "--tol", "inf"),
+            ("solve", "--U", "-1", "--n", "1", "--m", "1", "--tol", "nan"),
             ("solve", "--n", "1", "--m", "1"),
             ("solve", "--U", "x", "--n", "1", "--m", "1"),
             ("sweep", "--n", "1", "--m", "1", "--U-start", "-1", "--U-end", "0",
@@ -90,6 +92,11 @@ class TestUsageErrors:
             ("density", "--U", "-1", "--n", "1", "--m", "1", "--grid", "200"),
             ("density", "--U", "-1", "--n", "2", "--m", "2", "--symmetry", "triplet"),
             ("ci", "--U", "0", "--basis", "2", "--levels", "9"),
+            ("ci", "--U", "0", "--basis", "2", "--levels", "0"),
+            ("ci", "--U", "0", "--basis", "0", "--levels", "1"),
+            ("sweep", "--n", "0", "--m", "1", "--U-start", "-1", "--U-end", "0",
+             "--steps", "3"),
+            ("density", "--U", "-1", "--n", "1", "--m", "0"),
             ("nonsense",),
             (),
         ],

@@ -100,6 +100,11 @@ class TestNewton:
             NewtonConfig(residual_tolerance=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(step_tolerance=-1e-3)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                NewtonConfig(residual_tolerance=bad)
+            with pytest.raises(ValueError, match="finite"):
+                NewtonConfig(step_tolerance=bad)
 
     def test_solution_already_at_root(self):
         report = newton_solve(

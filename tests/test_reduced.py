@@ -1,58 +1,29 @@
-"""Real-energy reparameterization and the unequal-number solve."""
+"""Energy-circle constrained stage and the unequal-number solve."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pairwell import cimethod
 from pairwell.errors import ReductionFailed, SolutionRejected
-from pairwell.reduced import _momenta
+from pairwell.reduced import _stage_a
 from pairwell.solver import solve
-from pairwell.transcend import residual
+from pairwell.transcend import StateLabel, TranscendentalCase, residual
 
 PI = np.pi
 
 
-class TestParamsToMomenta:
-    """The (E, rho, theta) -> (k1, k2) map behind the constrained stage."""
+class TestStageA:
+    """The constrained stage: a search in theta on the energy circle."""
 
-    def test_noninteracting_ground(self):
-        k1, k2 = _momenta(2.0 * PI**2, 0.0, PI / 4.0)
-        assert k1 == pytest.approx(PI, abs=1e-12)
-        assert k2 == pytest.approx(PI, abs=1e-12)
-
-    def test_inverts_reference_real_pair(self):
-        energy = 6.05**2 + 3.27**2
-        k1, k2 = _momenta(energy, 0.0, float(np.arctan2(3.27, 6.05)))
-        assert sorted([k1.real, k2.real]) == pytest.approx([3.27, 6.05], abs=1e-12)
-        assert k1.imag == 0.0 and k2.imag == 0.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        energy=st.floats(-50.0, 400.0, allow_nan=False),
-        rho=st.floats(0.0, 10.0, allow_nan=False),
-        theta=st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False),
-    )
-    def test_energy_stays_real(self, energy, rho, theta):
-        # Only the real-energy surface E + rho^2 >= 0 keeps omega real.
-        if energy + rho**2 < 0:
-            return
-        k1, k2 = _momenta(energy, rho, theta)
-        total = k1**2 + k2**2
-        scale = 1.0 + abs(energy) + rho**2
-        assert abs(total.imag) <= 1e-10 * scale
-        assert total.real == pytest.approx(energy, abs=1e-9 * scale)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        a=st.floats(0.1, 20.0, allow_nan=False),
-        b=st.floats(0.1, 20.0, allow_nan=False),
-    )
-    def test_round_trip_real_pairs(self, a, b):
-        k1, k2 = _momenta(a**2 + b**2, 0.0, float(np.arctan2(a, b)))
-        assert k1.real == pytest.approx(a, rel=1e-12)
-        assert k2.real == pytest.approx(b, rel=1e-12)
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (1, 2)])
+    def test_momenta_are_real_and_on_the_energy_circle(self, n, m):
+        label = StateLabel(n, m)
+        case = TranscendentalCase(U=-1.0, s=label.case_sign)
+        energy = cimethod.energy_for_state(-1.0, label)
+        k1, k2 = _stage_a(case, energy, float(np.arctan2(m * PI, n * PI)))
+        assert isinstance(k1, float) and isinstance(k2, float)
+        assert k1**2 + k2**2 == pytest.approx(energy, rel=1e-12)
+        assert np.max(np.abs(residual(case, (k1, k2)))) <= 0.5
 
 
 class TestSolveNonidentical:
@@ -83,10 +54,12 @@ class TestSolveNonidentical:
     def test_garbage_energy_seeds_fail_loudly(self, monkeypatch):
         # A useless variational seed must not silently return a spurious
         # root: far-off energies either stagnate in the constrained stage or
-        # land on a rejected root family (zero momentum, free point).
+        # land on a rejected root family (zero momentum, free point), and a
+        # nonpositive one has no real energy circle at all.
         for bogus, expected in [(5000.0, ReductionFailed),
                                 (20.0, SolutionRejected),
-                                (1.0, SolutionRejected)]:
+                                (1.0, SolutionRejected),
+                                (-5.0, ReductionFailed)]:
             monkeypatch.setattr(cimethod, "energy_for_state",
                                 lambda *a, value=bogus, **k: value)
             with pytest.raises(expected):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pairwell import solver
-from pairwell.errors import NoConvergence, SolutionRejected
+from pairwell.errors import NoConvergence, SingularJacobian, SolutionRejected
 from pairwell.numerics import NewtonConfig, NewtonReport
 from pairwell.solver import SolveRequest, solve, solve_with_diagnostics, sweep
 from pairwell.transcend import StateLabel, verify_solution
@@ -189,6 +189,24 @@ class TestSweep:
         others = [p for i, p in enumerate(gapped.points) if i != 2]
         assert all(p.pair is not None for p in others)
         assert np.isnan(gapped.column("re_k1")[2])
+
+    def test_singular_warm_step_leaves_a_gap(self, monkeypatch):
+        # A singular Jacobian at one point must not abort the sweep: the warm
+        # step falls back to a fresh solve, and when that fails too the point
+        # is a gap.
+        original = solver._newton_pair
+
+        def singular(case, seed, config):
+            if abs(case.U + 0.5) < 1e-12:
+                raise SingularJacobian("forced singular step")
+            return original(case, seed, config)
+
+        monkeypatch.setattr(solver, "_newton_pair", singular)
+        result = sweep(StateLabel(1, 1), -1.0, 0.0, 11)
+        assert result.points[5].U == pytest.approx(-0.5)
+        assert result.points[5].pair is None
+        others = [p for i, p in enumerate(result.points) if i != 5]
+        assert all(p.pair is not None for p in others)
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(request):
