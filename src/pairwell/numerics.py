@@ -1,8 +1,9 @@
 """Self-contained numerical kernels.
 
-Damped Newton iteration over real or complex vectors and composite Simpson
-quadrature in one and two dimensions.  Everything here is a pure function of
-its inputs and safe to call concurrently.
+Damped Newton iteration and composite Simpson quadrature in one and two
+dimensions.  Newton runs in the dtype of its seed, complex or real, and
+solves 2x2 steps in closed form.  Everything here is a pure function of its
+inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -71,6 +72,34 @@ def _as_vector(x) -> np.ndarray:
     return v.astype(np.float64)
 
 
+def _max_norm(v: np.ndarray) -> float:
+    """Max-norm over the real and imaginary parts taken separately.
+
+    This is the max-norm of the stacked real vector (Re v, Im v), so a complex
+    iteration meets the same tolerances as the equivalent real system.
+    """
+    return float(np.abs(v.view(np.float64)).max())
+
+
+def _newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``jac @ step = rhs``; 2x2 systems by Cramer's rule."""
+    if jac.shape == (2, 2):
+        (a, b), (c, d) = jac.tolist()
+        det = a * d - b * c
+        if det == 0:
+            raise SingularJacobian("jacobian is singular")
+        r0, r1 = rhs.tolist()
+        step = np.array([(d * r0 - b * r1) / det, (a * r1 - c * r0) / det])
+    else:
+        try:
+            step = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(str(exc)) from exc
+    if not np.isfinite(step).all():
+        raise SingularJacobian("linear solve overflowed")
+    return step
+
+
 def newton_solve(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
@@ -79,109 +108,82 @@ def newton_solve(
 ) -> NewtonReport:
     """Solve ``residual_fn(x) = 0`` by damped Newton iteration.
 
-    Complex systems are iterated on the stacked 2N-dimensional real vector of
-    real and imaginary parts; for analytic residuals this reproduces the
-    complex Newton step exactly, and the real-only path is the N-dimensional
-    special case.  Each linear step is solved by direct elimination with
-    partial pivoting.  The step is halved until the residual norm decreases
-    or the halving budget runs out.
+    The iteration runs in the dtype of the seed: a complex seed takes complex
+    Newton steps, which for an analytic residual are exactly the steps of the
+    stacked 2N-dimensional real system, and a real seed stays real.  A 2x2
+    step is solved in closed form, larger ones by LAPACK.  The step is halved
+    until the residual norm decreases or the halving budget runs out; the
+    accepted trial residual is kept, so an undamped iteration evaluates the
+    residual once.  Norms are taken over real and imaginary parts separately.
 
     Raises:
-        SingularJacobian: the linear solve failed or produced non-finite
-            values.
-        NoConvergence: the iteration budget was exhausted; the best iterate
-            is attached to the exception as a ``NewtonReport``.
+        SingularJacobian: the jacobian is singular or not finite, or the
+            linear solve produced non-finite values.
+        NoConvergence: the iteration budget was exhausted or the step fell
+            below tolerance first; the best iterate is attached to the
+            exception as a ``NewtonReport``.
     """
     cfg = config or NewtonConfig()
     x = _as_vector(x0)
-    is_complex = np.iscomplexobj(x)
-    n = x.size
+    n, dtype = x.size, x.dtype
 
-    def pack(z: np.ndarray) -> np.ndarray:
-        if not is_complex:
-            return z.astype(np.float64)
-        return np.concatenate([z.real, z.imag])
-
-    def unpack(u: np.ndarray) -> np.ndarray:
-        if not is_complex:
-            return u
-        return u[:n] + 1j * u[n:]
-
-    def eval_residual(u: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = np.atleast_1d(np.asarray(residual_fn(unpack(u))))
-        if r.size != n:
+    def eval_residual(z: np.ndarray) -> np.ndarray:
+        r = np.ascontiguousarray(residual_fn(z), dtype=dtype)
+        if r.shape != (n,):
             raise ValueError("residual dimension does not match the unknown vector")
-        return pack(r.astype(np.complex128) if is_complex else r.astype(np.float64))
+        return r
 
-    def eval_jacobian(u: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            j = np.atleast_2d(np.asarray(jacobian_fn(unpack(u))))
+    def eval_jacobian(z: np.ndarray) -> np.ndarray:
+        j = np.atleast_2d(np.asarray(jacobian_fn(z), dtype=dtype))
         if j.shape != (n, n):
             raise ValueError("jacobian shape does not match the unknown vector")
-        if not is_complex:
-            return j.astype(np.float64)
-        jr, ji = j.real, j.imag
-        return np.block([[jr, -ji], [ji, jr]])
-
-    u = pack(x)
-    r = eval_residual(u)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residual is not finite at the initial point")
-
-    best_u = u
-    best_norm = float(np.max(np.abs(r)))
-    steps = 0
-
-    while True:
-        rnorm = float(np.max(np.abs(r)))
-        if rnorm < best_norm:
-            best_norm, best_u = rnorm, u
-        if rnorm <= cfg.residual_tolerance:
-            return NewtonReport(
-                solution=unpack(u).astype(np.complex128),
-                iterations=steps,
-                final_residual_norm=rnorm,
-                converged=True,
-            )
-        if steps >= cfg.max_iterations:
-            break
-
-        jac = eval_jacobian(u)
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(j).all():
             raise SingularJacobian("jacobian has non-finite entries")
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("linear solve overflowed")
+        return j
 
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = eval_residual(u + scale * step)
-            tnorm = float(np.max(np.abs(trial)))
-            if np.isfinite(tnorm) and tnorm < rnorm:
+    # Trial points may overflow; a non-finite trial norm just fails the line
+    # search.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = eval_residual(x)
+        if not np.isfinite(r).all():
+            raise ValueError("residual is not finite at the initial point")
+        rnorm = best_norm = _max_norm(r)
+        best_x = x
+        steps = 0
+        stalled = False
+        while True:
+            if rnorm < best_norm:
+                best_norm, best_x = rnorm, x
+            if rnorm <= cfg.residual_tolerance:
+                return NewtonReport(
+                    solution=x.astype(np.complex128),
+                    iterations=steps,
+                    final_residual_norm=rnorm,
+                    converged=True,
+                )
+            if stalled or steps >= cfg.max_iterations:
                 break
-            scale *= 0.5
-        u = u + scale * step
-        r = eval_residual(u)
-        steps += 1
-        if float(np.max(np.abs(scale * step))) <= cfg.step_tolerance:
-            break
 
-    rnorm = float(np.max(np.abs(r)))
-    if rnorm <= cfg.residual_tolerance:
-        return NewtonReport(
-            solution=unpack(u).astype(np.complex128),
-            iterations=steps,
-            final_residual_norm=rnorm,
-            converged=True,
-        )
-    if rnorm < best_norm:
-        best_norm, best_u = rnorm, u
+            step = _newton_step(eval_jacobian(x), -r)
+            scale = 1.0
+            for _ in range(_MAX_HALVINGS):
+                trial_x = x + scale * step
+                trial = eval_residual(trial_x)
+                trial_norm = _max_norm(trial)
+                # False for nan and inf trials as well as for no decrease.
+                if trial_norm < rnorm:
+                    x, r, rnorm = trial_x, trial, trial_norm
+                    break
+                scale *= 0.5
+            else:
+                x = x + scale * step
+                r = eval_residual(x)
+                rnorm = _max_norm(r)
+            steps += 1
+            stalled = _max_norm(scale * step) <= cfg.step_tolerance
+
     report = NewtonReport(
-        solution=unpack(best_u).astype(np.complex128),
+        solution=best_x.astype(np.complex128),
         iterations=steps,
         final_residual_norm=best_norm,
         converged=False,

@@ -5,13 +5,14 @@ Equal quantum numbers go through the perturbative seed and complex Newton
 unequal numbers go through the variational-energy reduced path.  Whatever
 produced it, a Newton root becomes a pair only through one acceptance gate:
 the root is ordered, checked by :func:`transcend.verify_solution` and held
-to the residual ceiling max(1e-10, Newton residual tolerance), so every pair
-that leaves this module has passed it.
+to the fixed residual ceiling 1e-10, whatever Newton tolerance the caller
+set, so every pair that leaves this module has passed it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 
@@ -48,6 +49,10 @@ class SolveRequest:
     label: StateLabel
     newton: NewtonConfig | None = None
     n_max: int = cimethod.DEFAULT_N_MAX
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.n_max, numbers.Integral) and self.n_max >= 1):
+            raise ValueError("basis cutoff must be a positive integer")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,20 +118,21 @@ def _newton_pair(case: TranscendentalCase, seed, config: NewtonConfig):
     )
 
 
-def _accept(case: TranscendentalCase, label: StateLabel, solution,
-            config: NewtonConfig) -> tuple[MomentumPair, float]:
+def _accept(case: TranscendentalCase, label: StateLabel,
+            solution) -> tuple[MomentumPair, float]:
     """The gate that turns a Newton root into a pair: the ordered pair and
     its verified residual max-norm.
 
     Raises SolutionRejected when the root is spurious or its residual exceeds
-    the ceiling max(1e-10, Newton residual tolerance).
+    the fixed ceiling ``_RESIDUAL_CEILING``.  The ceiling does not follow the
+    Newton tolerance, so a loose tolerance cannot wave an unrefined seed
+    through.
     """
     pair = MomentumPair(*_ordered(*solution), case, label)
     residual_norm = transcend.verify_solution(pair)
-    ceiling = max(_RESIDUAL_CEILING, config.residual_tolerance)
-    if residual_norm > ceiling:
+    if residual_norm > _RESIDUAL_CEILING:
         raise SolutionRejected(
-            f"residual {residual_norm:.3e} exceeds {ceiling:.0e}"
+            f"residual {residual_norm:.3e} exceeds {_RESIDUAL_CEILING:.0e}"
         )
     return pair, residual_norm
 
@@ -140,7 +146,7 @@ def _step(label: StateLabel, U: float, seed, config: NewtonConfig,
     """
     case = TranscendentalCase(U=U, s=label.case_sign)
     report = _newton_pair(case, seed, config)
-    pair, residual_norm = _accept(case, label, report.solution, config)
+    pair, residual_norm = _accept(case, label, report.solution)
     return pair, residual_norm, report.iterations
 
 
@@ -181,7 +187,7 @@ def solve_with_diagnostics(request: SolveRequest) -> tuple[MomentumPair, SolveDi
         return _solve_identical(U, label, config)
     solution, iterations = reduced._solve_detailed(U, label, request.n_max, config)
     pair, residual_norm = _accept(TranscendentalCase(U=U, s=label.case_sign),
-                                  label, solution, config)
+                                  label, solution)
     return pair, SolveDiagnostics(iterations, residual_norm, "reduced")
 
 

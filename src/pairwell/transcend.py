@@ -118,11 +118,9 @@ def residual(case: TranscendentalCase, k) -> np.ndarray:
     quantization conditions hold.  Real input yields a real residual.
     """
     k1, k2 = k[0], k[1]
-    f1 = k1 * np.sin(k2) + case.s * k2 * np.sin(k1)
-    f2 = (
-        2.0 * (k1 * np.cos(k1) * np.sin(k2) + k2 * np.cos(k2) * np.sin(k1))
-        + case.U * np.sin(k1) * np.sin(k2)
-    )
+    s1, s2 = np.sin(k1), np.sin(k2)
+    f1 = k1 * s2 + case.s * k2 * s1
+    f2 = 2.0 * (k1 * np.cos(k1) * s2 + k2 * np.cos(k2) * s1) + case.U * s1 * s2
     return np.array([f1, f2])
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from pairwell.solver import SweepPoint, SweepResult
 from pairwell.transcend import StateLabel
 
 PI = np.pi
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,21 @@ class TestSolveCommand:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_loose_tolerance_cannot_pass_the_seed(self, capsys):
+        # Newton accepts the unrefined seed (residual ~1) at --tol 1e3, but
+        # the acceptance gate's ceiling does not follow --tol.
+        code, _, err = run_cli(
+            capsys, "solve", "--U", "-1", "--n", "1", "--m", "1", "--tol", "1e3")
+        assert code == 2
+        assert "exceeds" in err
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+    def test_zero_basis_is_usage_error(self, capsys, n, m):
+        code, _, err = run_cli(capsys, "solve", "--U", "-1", "--n", str(n),
+                               "--m", str(m), "--basis", "0")
+        assert code == 1
+        assert "basis cutoff must be a positive integer" in err
+
     def test_basis_override_on_reduced_path(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "--U", "-1", "--n", "2", "--m", "1", "--basis", "16")
@@ -122,6 +139,19 @@ class TestSweepCommand:
         assert float(final[0]) == 0.0
         assert float(final[2]) == 0.0
         assert float(final[1]) == pytest.approx(PI, rel=1e-11)
+
+    def test_golden_momenta(self, capsys):
+        # The U, momentum and energy columns of this sweep are pinned byte
+        # for byte; the residual column sits at rounding level and is left
+        # out.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--n", "1", "--m", "1",
+            "--U-start", "-10", "--U-end", "0", "--steps", "200")
+        assert code == 0
+        columns = "".join(",".join(line.split(",")[:6]) + "\n"
+                          for line in out.splitlines())
+        golden = (DATA / "sweep_1_1_momenta.csv").read_text(encoding="utf-8")
+        assert columns == golden
 
     def test_gap_rows_have_empty_momentum_fields(self):
         label = StateLabel(1, 1)

@@ -70,18 +70,27 @@ class TestNewton:
             )
 
     def test_no_convergence_carries_best_iterate(self):
-        # x^2 + 1 has no real root; the solver must give up and report.
+        # x^2 + 1 has no real root; the solver must give up and report, and
+        # a real seed must not be promoted to complex on the way.
+        seen = []
+
+        def residual(x):
+            seen.append(x.dtype)
+            return x**2 + 1.0
+
         with pytest.raises(NoConvergence) as excinfo:
             newton_solve(
-                lambda x: x**2 + 1.0,
+                residual,
                 lambda x: np.array([[2.0 * x[0]]]),
                 np.array([3.0]),
                 NewtonConfig(max_iterations=30),
             )
+        assert set(seen) == {np.dtype(np.float64)}
         report = excinfo.value.report
         assert report is not None
         assert not report.converged
         assert np.all(np.isfinite(report.solution))
+        assert report.solution.imag[0] == 0.0
         assert report.final_residual_norm > NewtonConfig().residual_tolerance
 
     def test_iteration_budget_exhausted(self):
@@ -105,6 +114,62 @@ class TestNewton:
                 NewtonConfig(residual_tolerance=bad)
             with pytest.raises(ValueError, match="finite"):
                 NewtonConfig(step_tolerance=bad)
+
+    def test_undamped_iteration_evaluates_residual_once_per_step(self):
+        calls = []
+
+        def residual(x):
+            calls.append(x.copy())
+            return x**2 - 4.0
+
+        report = newton_solve(residual, lambda x: np.array([[2.0 * x[0]]]),
+                              np.array([3.0]))
+        assert report.converged
+        assert report.iterations > 1
+        assert len(calls) == 1 + report.iterations
+
+    def test_singular_2x2_jacobian(self):
+        with pytest.raises(SingularJacobian):
+            newton_solve(
+                lambda x: np.array([x[0] + 2.0 * x[1] - 1.0,
+                                    2.0 * x[0] + 4.0 * x[1] + 1.0]),
+                lambda x: np.array([[1.0, 2.0], [2.0, 4.0]]),
+                np.array([0.0, 0.0]),
+            )
+
+    def test_complex_2x2_root_matches_dense_solve(self):
+        # Reference: the same damped iteration with every step solved by
+        # LAPACK on the stacked real system.
+        case = TranscendentalCase(U=-3.0, s=1)
+        seed = np.array(initial_guess(StateLabel(2, 2), -2.0))
+
+        def residual(k):
+            return transcend.residual(case, k)
+
+        def jacobian(k):
+            return transcend.jacobian(case, k)
+
+        k = seed.astype(complex)
+        for _ in range(100):
+            r = residual(k)
+            rnorm = np.max(np.abs(r))
+            if rnorm <= 1e-12:
+                break
+            j = jacobian(k)
+            block = np.block([[j.real, -j.imag], [j.imag, j.real]])
+            packed = np.linalg.solve(block, -np.concatenate([r.real, r.imag]))
+            step = packed[:2] + 1j * packed[2:]
+            scale = 1.0
+            for _ in range(20):
+                if np.max(np.abs(residual(k + scale * step))) < rnorm:
+                    break
+                scale *= 0.5
+            k = k + scale * step
+        assert np.max(np.abs(residual(k))) <= 1e-12
+        report = newton_solve(residual, jacobian, seed)
+        assert report.converged
+        assert np.max(np.abs(report.solution - k)) < 1e-12
+        assert abs(report.solution[0].imag) > 0.5
 
     def test_solution_already_at_root(self):
         report = newton_solve(
