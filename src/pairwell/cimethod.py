@@ -33,6 +33,7 @@ from .transcend import StateLabel
 
 __all__ = [
     "DEFAULT_N_MAX",
+    "check_cutoff",
     "SymmetricBasis",
     "CIHamiltonian",
     "CIEigenstate",
@@ -82,13 +83,18 @@ def interaction_element(n: int, m: int, nt: int, mt: int, U: float) -> float:
     return 2.0 * U * basis_norm(nt, mt) * basis_norm(n, m) * pattern
 
 
+def check_cutoff(n_max: int) -> int:
+    """The basis cutoff as an int; raises ValueError when it is below 1."""
+    if n_max < 1:
+        raise ValueError("basis cutoff must be a positive integer")
+    return int(n_max)
+
+
 class SymmetricBasis:
     """Ordered truncated basis of symmetric states (n, m), 1 <= n <= m <= n_max."""
 
     def __init__(self, n_max: int):
-        if n_max < 1:
-            raise ValueError("basis cutoff must be a positive integer")
-        self.n_max = int(n_max)
+        self.n_max = check_cutoff(n_max)
         self.states: tuple[tuple[int, int], ...] = tuple(
             (n, m) for n in range(1, self.n_max + 1) for m in range(n, self.n_max + 1)
         )

@@ -82,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--m", type=int, required=True)
     p_solve.add_argument("--format", choices=("json", "csv"), default="json")
     p_solve.add_argument("--tol", type=float, default=1e-12,
-                         help="Newton residual tolerance")
+                         help="Newton residual tolerance; a pair must still meet "
+                              "the fixed 1e-10 residual ceiling, so a value above "
+                              "it can exit 2")
     p_solve.add_argument("--basis", type=int, default=cimethod.DEFAULT_N_MAX,
                          help="variational cutoff for the n != m path")
     p_solve.set_defaults(handler=_cmd_solve)

@@ -12,7 +12,6 @@ set, so every pair that leaves this module has passed it.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 
 import numpy as np
 
@@ -51,8 +50,7 @@ class SolveRequest:
     n_max: int = cimethod.DEFAULT_N_MAX
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_max, numbers.Integral) and self.n_max >= 1):
-            raise ValueError("basis cutoff must be a positive integer")
+        cimethod.check_cutoff(self.n_max)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -141,17 +141,23 @@ class TestSweepCommand:
         assert float(final[1]) == pytest.approx(PI, rel=1e-11)
 
     def test_golden_momenta(self, capsys):
-        # The U, momentum and energy columns of this sweep are pinned byte
-        # for byte; the residual column sits at rounding level and is left
-        # out.
+        # The header, row count and U column of this sweep are pinned exactly;
+        # the momenta and energies to 1e-11 relative, which leaves room for
+        # last-digit rounding in libm.  The residual column sits at rounding
+        # level and is left out.
         code, out, _ = run_cli(
             capsys, "sweep", "--n", "1", "--m", "1",
             "--U-start", "-10", "--U-end", "0", "--steps", "200")
         assert code == 0
-        columns = "".join(",".join(line.split(",")[:6]) + "\n"
-                          for line in out.splitlines())
-        golden = (DATA / "sweep_1_1_momenta.csv").read_text(encoding="utf-8")
-        assert columns == golden
+        rows = [line.split(",")[:6] for line in out.splitlines()]
+        golden = [line.split(",") for line in
+                  (DATA / "sweep_1_1_momenta.csv").read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == len(golden)
+        assert rows[0] == golden[0]
+        assert [row[0] for row in rows] == [row[0] for row in golden]
+        values = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
+        expected = np.array([[float(x) for x in row[1:]] for row in golden[1:]])
+        np.testing.assert_allclose(values, expected, rtol=1e-11, atol=1e-12)
 
     def test_gap_rows_have_empty_momentum_fields(self):
         label = StateLabel(1, 1)

@@ -79,6 +79,12 @@ class TestSolveState:
         real_pair = attractive_roots[(2, 1)]
         assert real_pair.k1.real > real_pair.k2.real
 
+    def test_cutoff_rule_matches_the_basis(self):
+        # SolveRequest takes the cutoffs SymmetricBasis takes, no fewer.
+        assert solve(-1.0, 2, 1, n_max=16.0) == solve(-1.0, 2, 1, n_max=16)
+        with pytest.raises(ValueError, match="basis cutoff"):
+            SolveRequest(U=-1.0, label=StateLabel(1, 1), n_max=0)
+
     def test_loose_tolerance_still_validates(self):
         pair = solve(-1.0, 1, 1, newton=NewtonConfig(residual_tolerance=1e-8))
         assert round(pair.k1.real, 2) == 3.06
