@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -15,6 +16,9 @@ from pairwell.transcend import StateLabel
 
 PI = np.pi
 DATA = pathlib.Path(__file__).parent / "data"
+# SHA-256 of `pairwell density` stdout, keyed by argv; written before the
+# grid and the CSV were built per axis, and not to move by a byte.
+DENSITY_SHA256 = json.loads((DATA / "density_sha256.json").read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +208,12 @@ class TestDensityCommand:
         diagonal = np.mean(np.diag(densities))
         antidiagonal = np.mean(np.diag(np.fliplr(densities)))
         assert diagonal > antidiagonal
+
+    @pytest.mark.parametrize("argv", list(DENSITY_SHA256))
+    def test_golden_bytes(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DENSITY_SHA256[argv]
 
     def test_triplet_grid(self, capsys):
         code, out, _ = run_cli(
