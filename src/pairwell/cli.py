@@ -199,11 +199,12 @@ def _density_csv_lines(grid: wavefn.DensityGrid):
     yield f"# s = {grid.s}"
     yield f"# norm = {_csv_number(grid.norm)}"
     yield "x1,x2,density"
-    axis = grid.axis()
-    for i in range(grid.resolution):
-        for j in range(grid.resolution):
-            yield (f"{_csv_number(axis[i])},{_csv_number(axis[j])},"
-                   f"{_csv_number(grid.values[i, j])}")
+    # One string per grid row: the axis is formatted once, and "%.12g" on a
+    # Python float gives the same digits as _csv_number.
+    axis = [_csv_number(x) for x in grid.axis().tolist()]
+    columns = [f",{x2},%.12g" for x2 in axis]
+    for x1, row in zip(axis, grid.values):
+        yield (x1 + ("\n" + x1).join(columns)) % tuple(row.tolist())
 
 
 def _cmd_density(args, out: IO[str]) -> int:

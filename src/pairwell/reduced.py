@@ -68,14 +68,18 @@ def _stage_a(case: TranscendentalCase, energy: float, theta0: float) -> tuple[fl
         step = -float(tangent @ res) / gram
         norm0 = np.linalg.norm(res)
         scale = 1.0
+        accepted = None
         for _ in range(20):
             trial = transcend.residual(case, momenta(theta + scale * step))
             if np.linalg.norm(trial) < norm0:
+                accepted = trial
                 break
             scale *= 0.5
         theta += scale * step
         k1, k2 = momenta(theta)
-        res = transcend.residual(case, (k1, k2))
+        # An accepted trial was evaluated at this very theta; only when every
+        # halving failed did theta move by a scale no trial was tried at.
+        res = accepted if accepted is not None else transcend.residual(case, (k1, k2))
         if abs(scale * step) < _GAUSS_NEWTON_STEP_TOLERANCE:
             break
 

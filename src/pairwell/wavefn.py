@@ -26,7 +26,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateState, IdenticallyZero
-from .numerics import _simpson_weights, simpson_2d
+# simpson_2d is no longer called here; it stays a module attribute because
+# perfbench/tracing.py patches wavefn.simpson_2d.
+from .numerics import _simpson_weights, simpson_2d  # noqa: F401
 from .transcend import MomentumPair, StateLabel, TranscendentalCase
 
 __all__ = [
@@ -54,6 +56,24 @@ def _raw_amplitude(k1: complex, k2: complex, s: int, x1, x2) -> np.ndarray:
         np.sin(k1 * low) * np.sin(k2 * (1.0 - high))
         + s * np.sin(k2 * low) * np.sin(k1 * (1.0 - high))
     )
+
+
+def _amplitude_on_axis(k1: complex, k2: complex, s: int, xs: NDArray[np.float64]) -> np.ndarray:
+    """``_raw_amplitude`` on the square grid ``xs`` x ``xs``, from axis sines.
+
+    On the upper triangle i <= j the amplitude is a rank-2 outer product of
+    sines of xs[i] (low) and of 1 - xs[j] (high); the lower triangle is its
+    mirror.  The operands and their order match ``_raw_amplitude``, so each
+    element is bit-identical to the pointwise value, from 4 n sines instead
+    of 4 n^2.
+    """
+    high_k2 = np.sin(k2 * (1.0 - xs))[None, :]
+    high_k1 = np.sin(k1 * (1.0 - xs))[None, :]
+    amplitude = (np.sin(k1 * xs)[:, None] * high_k2
+                 + (s * np.sin(k2 * xs))[:, None] * high_k1)
+    lower = np.tril_indices(xs.size, -1)
+    amplitude[lower] = amplitude.T[lower]
+    return amplitude
 
 
 def singlet_amplitude(pair: MomentumPair, x1, x2, s: int | None = None):
@@ -96,6 +116,10 @@ class SingletWavefunction:
         """Normalized amplitude at scaled positions."""
         return self.norm * _raw_amplitude(self.pair.k1, self.pair.k2, self.s, x1, x2)
 
+    def _value_on_axis(self, xs: NDArray[np.float64]) -> np.ndarray:
+        """``value`` on the square grid ``xs`` x ``xs``, bit for bit."""
+        return self.norm * _amplitude_on_axis(self.pair.k1, self.pair.k2, self.s, xs)
+
     def density(self, x1, x2):
         """Probability density |Psi|^2."""
         return np.abs(self.value(x1, x2)) ** 2
@@ -104,8 +128,7 @@ class SingletWavefunction:
         """Largest |Psi| on a 201-point grid; cached after the first call."""
         cached = getattr(self, "_max_abs", None)
         if cached is None:
-            xs = np.linspace(0.0, 1.0, _DEFAULT_RESOLUTION)
-            cached = float(np.max(np.abs(self.value(xs[:, None], xs[None, :]))))
+            cached = float(np.max(np.abs(self._value_on_axis(_axis(_DEFAULT_RESOLUTION)))))
             self._max_abs = cached
         return cached
 
@@ -157,18 +180,22 @@ class DensityGrid:
 def normalize(pair: MomentumPair, s: int | None = None) -> SingletWavefunction:
     """Fix the overall scale so the density integrates to one.
 
-    The integral runs over the unit square with 400x400 Simpson panels.
+    The integral runs over the unit square with 400x400 Simpson panels,
+    summed exactly as ``numerics.simpson_2d`` sums them.
 
     Raises:
         DegenerateState: the unnormalized amplitude vanishes identically
             (for example equal momenta with ratio sign -1).
+        ValueError: the density is not finite on the grid.
     """
     sign = pair.case.s if s is None else s
-    integral = simpson_2d(
-        lambda a, b: np.abs(_raw_amplitude(pair.k1, pair.k2, sign, a, b)) ** 2,
-        ((0.0, 1.0), (0.0, 1.0)),
-        _NORMALIZATION_PANELS,
-    )
+    xs = _axis(_NORMALIZATION_PANELS + 1)
+    density = np.abs(_amplitude_on_axis(pair.k1, pair.k2, sign, xs)) ** 2
+    weights = _simpson_weights(_NORMALIZATION_PANELS)
+    h = 1.0 / _NORMALIZATION_PANELS
+    integral = float(h * h / 9.0 * np.sum(np.outer(weights, weights) * density))
+    if not np.isfinite(integral):
+        raise ValueError("integrand is not finite on the grid")
     if integral < 1e-12:
         raise DegenerateState("wavefunction norm vanishes; cannot normalize")
     return SingletWavefunction(pair=pair, s=sign, norm=1.0 / np.sqrt(integral))
@@ -186,7 +213,7 @@ def density_grid(wavefunction: SingletWavefunction,
                  resolution: int = _DEFAULT_RESOLUTION) -> DensityGrid:
     """Sample the probability density on an odd inclusive grid."""
     xs = _axis(resolution)
-    values = wavefunction.density(xs[:, None], xs[None, :])
+    values = np.abs(wavefunction._value_on_axis(xs)) ** 2
     return DensityGrid(
         resolution=xs.size,
         values=values,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairwell import cimethod
+from pairwell import cimethod, reduced
 from pairwell.errors import ReductionFailed, SolutionRejected
 from pairwell.reduced import _stage_a
 from pairwell.solver import solve
@@ -24,6 +24,42 @@ class TestStageA:
         assert isinstance(k1, float) and isinstance(k2, float)
         assert k1**2 + k2**2 == pytest.approx(energy, rel=1e-12)
         assert np.max(np.abs(residual(case, (k1, k2)))) <= 0.5
+
+    # Residual calls and the returned momenta (float.hex) of each search
+    # before the accepted trial residual was reused (n_max 16).
+    _BEFORE_REUSE = {
+        ((2, 1), -3.0): (35, "0x1.d88ed46868972p+1", "0x1.5a264fb5ebcedp+2"),
+        ((2, 1), -1.0): (11, "0x1.a1ed1ce4b225ep+1", "0x1.8362029248b15p+2"),
+        ((2, 1), 2.0): (11, "0x1.7d3bc32951c50p+1", "0x1.a9e4e4e577baep+2"),
+        ((2, 1), 5.0): (11, "0x1.6cc148b352075p+1", "0x1.c4db1e0e38326p+2"),
+        ((3, 1), -3.0): (12, "0x1.a2f48d9d4a84dp+1", "0x1.21b5e834b4d03p+3"),
+        ((3, 1), -1.0): (9, "0x1.976a9445350e7p+1", "0x1.29b78ec06871ep+3"),
+        ((3, 1), 2.0): (9, "0x1.88d04c28b65d5p+1", "0x1.34f94e1b45c7fp+3"),
+        ((3, 1), 5.0): (9, "0x1.7e2ff24d9b55ep+1", "0x1.3efa569beb3dbp+3"),
+        ((3, 2), -3.0): (15, "0x1.b98e60890c676p+2", "0x1.13c196e01b129p+3"),
+        ((3, 2), -1.0): (11, "0x1.9b67bf7338290p+2", "0x1.26ea0d9685992p+3"),
+        ((3, 2), 2.0): (11, "0x1.8513585e103e3p+2", "0x1.382e218424da8p+3"),
+        ((3, 2), 5.0): (12, "0x1.7973c9e0d7e52p+2", "0x1.43fcb812046d2p+3"),
+    }
+
+    @pytest.mark.parametrize("key", list(_BEFORE_REUSE),
+                             ids=lambda key: f"{key[0][0]}-{key[0][1]}-U{key[1]:g}")
+    def test_accepted_trial_residual_is_reused(self, monkeypatch, key):
+        (n, m), U = key
+        calls_before, k1_before, k2_before = self._BEFORE_REUSE[key]
+        calls = []
+
+        def counting_residual(case, k):
+            calls.append(k)
+            return residual(case, k)
+
+        monkeypatch.setattr(reduced.transcend, "residual", counting_residual)
+        label = StateLabel(n, m)
+        case = TranscendentalCase(U=U, s=label.case_sign)
+        energy = cimethod.energy_for_state(U, label, 16)
+        k1, k2 = _stage_a(case, energy, float(np.arctan2(m * PI, n * PI)))
+        assert (k1.hex(), k2.hex()) == (k1_before, k2_before)
+        assert len(calls) < calls_before
 
 
 class TestSolveNonidentical:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pairwell.errors import DegenerateState, IdenticallyZero
 from pairwell.numerics import simpson_2d
 from pairwell.transcend import MomentumPair, StateLabel, TranscendentalCase
 from pairwell.wavefn import (
+    _amplitude_on_axis,
+    _raw_amplitude,
     density_grid,
     normalize,
     schrodinger_residual,
@@ -74,6 +78,49 @@ class TestSingletAmplitude:
         forward = singlet_amplitude(pair, x1, x2)
         backward = singlet_amplitude(pair, x2, x1)
         assert np.array_equal(forward, backward)
+
+
+_parts = st.floats(0.0, 40.0, allow_nan=False)
+
+
+@st.composite
+def _momentum_pairs(draw):
+    """A conjugate pair (n = m, attractive) or two real momenta."""
+    if draw(st.booleans()):
+        k = complex(draw(_parts), draw(st.floats(0.0, 8.0, allow_nan=False)))
+        return k, k.conjugate()
+    return draw(_parts), draw(_parts)
+
+
+class TestAmplitudeOnAxis:
+    """The per-axis square grid against the pointwise amplitude, bit for bit."""
+
+    @given(momenta=_momentum_pairs(), s=st.sampled_from([1, -1]),
+           resolution=st.integers(1, 50).map(lambda half: 2 * half + 1))
+    def test_equals_the_pointwise_amplitude(self, momenta, s, resolution):
+        k1, k2 = momenta
+        xs = np.linspace(0.0, 1.0, resolution)
+        expected = _raw_amplitude(k1, k2, s, xs[:, None], xs[None, :])
+        assert np.array_equal(_amplitude_on_axis(k1, k2, s, xs), expected)
+
+    @pytest.mark.parametrize("roots, key", [
+        ("attractive_roots", (1, 1)), ("attractive_roots", (2, 1)),
+        ("attractive_roots", (2, 2)), ("attractive_roots", (3, 1)),
+        ("repulsive_roots", (1, 1)), ("repulsive_roots", (2, 2)),
+    ])
+    def test_norm_grid_and_max_match_the_pointwise_path(self, request, roots, key):
+        # The meshgrid quadrature normalize used to run is the oracle.
+        pair = request.getfixturevalue(roots)[key]
+        integral = simpson_2d(
+            lambda a, b: np.abs(_raw_amplitude(pair.k1, pair.k2, pair.case.s, a, b)) ** 2,
+            ((0.0, 1.0), (0.0, 1.0)), 400)
+        wavefunction = normalize(pair)
+        assert wavefunction.norm == 1.0 / np.sqrt(integral)
+        xs = np.linspace(0.0, 1.0, 201)
+        pointwise = wavefunction.value(xs[:, None], xs[None, :])
+        assert np.array_equal(density_grid(wavefunction, 201).values,
+                              np.abs(pointwise) ** 2)
+        assert wavefunction.max_abs() == float(np.max(np.abs(pointwise)))
 
 
 class TestTripletAmplitude:
