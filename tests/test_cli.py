@@ -19,6 +19,15 @@ DATA = pathlib.Path(__file__).parent / "data"
 # SHA-256 of `pairwell density` stdout, keyed by argv; written before the
 # grid and the CSV were built per axis, and not to move by a byte.
 DENSITY_SHA256 = json.loads((DATA / "density_sha256.json").read_text(encoding="utf-8"))
+# Exact stdout of `pairwell solve`, `sweep` and `ci`, keyed by argv in
+# index.json; written before the norm went to closed form and the parser was
+# shared, neither of which may move them by a byte.
+TRANSCRIPTS = DATA / "transcripts"
+TRANSCRIPT_FILES = json.loads((TRANSCRIPTS / "index.json").read_text(encoding="utf-8"))
+
+
+def transcript(argv):
+    return (TRANSCRIPTS / TRANSCRIPT_FILES[argv]).read_text(encoding="utf-8")
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +287,23 @@ class TestDeterminism:
         second = subprocess.run(command, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.returncode == 0
+
+
+class TestTranscripts:
+    @pytest.mark.parametrize("argv", list(TRANSCRIPT_FILES))
+    def test_stdout_byte_for_byte(self, capsys, argv):
+        assert run_cli(capsys, *argv.split()) == (0, transcript(argv), "")
+
+    def test_back_to_back_calls_share_nothing(self, capsys):
+        # One process, one parser: a success and a usage error in either
+        # order give the same bytes and exit codes.
+        good = "solve --U -1 --n 1 --m 1 --format csv"
+        bad = "solve --U -1 --n 1"
+        success_first = [run_cli(capsys, *good.split()), run_cli(capsys, *bad.split())]
+        error_first = [run_cli(capsys, *bad.split()), run_cli(capsys, *good.split())]
+        assert success_first == error_first[::-1]
+        assert success_first[0] == (0, transcript(good), "")
+        code, out, err = success_first[1]
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "pairwell solve: error: the following arguments are required: --m\n")
