@@ -121,14 +121,14 @@ def _accept(case: TranscendentalCase, label: StateLabel,
     """The gate that turns a Newton root into a pair: the ordered pair and
     its verified residual max-norm.
 
-    Raises SolutionRejected when the root is spurious or its residual exceeds
-    the fixed ceiling ``_RESIDUAL_CEILING``.  The ceiling does not follow the
-    Newton tolerance, so a loose tolerance cannot wave an unrefined seed
-    through.
+    Raises SolutionRejected when the root is spurious or its residual is not
+    at or below the fixed ceiling ``_RESIDUAL_CEILING`` (a NaN residual is
+    not).  The ceiling does not follow the Newton tolerance, so a loose
+    tolerance cannot wave an unrefined seed through.
     """
     pair = MomentumPair(*_ordered(*solution), case, label)
     residual_norm = transcend.verify_solution(pair)
-    if residual_norm > _RESIDUAL_CEILING:
+    if not residual_norm <= _RESIDUAL_CEILING:
         raise SolutionRejected(
             f"residual {residual_norm:.3e} exceeds {_RESIDUAL_CEILING:.0e}"
         )

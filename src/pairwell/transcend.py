@@ -147,11 +147,14 @@ def verify_solution(pair: MomentumPair) -> float:
     terms of the singlet amplitude then cancel and no state is left.
 
     Raises:
-        SolutionRejected: spurious or inconsistent root.
+        SolutionRejected: spurious or inconsistent root, or a residual that
+            is not finite (it overflows once |Im k| passes ~355).
     """
     case = pair.case
     k1, k2 = pair.k1, pair.k2
     rnorm = float(np.max(np.abs(residual(case, (k1, k2)))))
+    if not np.isfinite(rnorm):
+        raise SolutionRejected(f"residual is not finite ({rnorm})")
 
     if min(abs(k1), abs(k2)) < _SIN_FLOOR and rnorm <= _ROOT_LEVEL:
         # Every term of f1 and f2 carries a factor of the vanishing momentum,

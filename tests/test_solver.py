@@ -7,7 +7,7 @@ from pairwell import solver
 from pairwell.errors import NoConvergence, SingularJacobian, SolutionRejected
 from pairwell.numerics import NewtonConfig, NewtonReport
 from pairwell.solver import SolveRequest, solve, solve_with_diagnostics, sweep
-from pairwell.transcend import StateLabel, verify_solution
+from pairwell.transcend import StateLabel, TranscendentalCase, verify_solution
 from pairwell.wavefn import normalize
 
 PI = np.pi
@@ -104,6 +104,38 @@ class TestSolveState:
         monkeypatch.setattr(solver, "_newton_pair", false_convergence)
         with pytest.raises(SolutionRejected, match="exceeds"):
             solve(-5.0, 1, 1)
+
+
+def _exact_11_root(U):
+    """The exact (1,1) momenta at strong attraction, from the two scalar
+    conditions a tan a = U/4 on (pi/2, pi) and b tanh b = -U/4: k = a +- ib."""
+    low, high = PI / 2 + 1e-15, PI
+    for _ in range(200):
+        middle = 0.5 * (low + high)
+        low, high = (middle, high) if middle * np.tan(middle) < U / 4 else (low, middle)
+    b = -U / 4  # tanh b is 1 to double precision for this U
+    return complex(low, b), complex(low, -b)
+
+
+class TestAcceptanceGate:
+    """A root whose residual overflows is never accepted."""
+
+    U = -1500.0  # |Im k| = 375: the residual's sine products overflow
+
+    def test_nonfinite_residual_is_rejected(self):
+        case = TranscendentalCase(U=self.U, s=1)
+        exact = _exact_11_root(self.U)
+        shifted = tuple(k + 0.3 for k in exact)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for solution in (exact, shifted):
+                with pytest.raises(SolutionRejected, match="not finite"):
+                    solver._accept(case, StateLabel(1, 1), solution)
+
+    def test_gate_itself_rejects_nan(self, monkeypatch):
+        monkeypatch.setattr(solver.transcend, "verify_solution", lambda pair: float("nan"))
+        case = TranscendentalCase(U=-1.0, s=1)
+        with pytest.raises(SolutionRejected, match="nan exceeds"):
+            solver._accept(case, StateLabel(1, 1), (3.06 + 0.52j, 3.06 - 0.52j))
 
 
 class TestSweep:
