@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import IO, Sequence
@@ -69,7 +70,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves it unchanged, so every :func:`main` call shares it.
+    """
     parser = _Parser(prog="pairwell",
                      description="Momentum pairs of two contact-interacting "
                                  "electrons in a 1D infinite well.")

@@ -6,11 +6,20 @@ piecewise mode product
     x1 < x2:  N sin(k1 x1) sin(k2 (1 - x2)) + M sin(k2 x1) sin(k1 (1 - x2))
     x1 > x2:  the same expression with x1 and x2 exchanged,
 
-here with N = 1 and M = s, the amplitude-ratio sign of the solved case.  The
-overall scale is fixed numerically so the probability density integrates to
-one.  Both branches agree on x1 = x2 and are functions of (min, max) only,
-so exchange symmetry is built in; the contact interaction shows up as a
-derivative kink across the diagonal, not in the values.
+here with N = 1 and M = s, the amplitude-ratio sign of the solved case.  Both
+branches agree on x1 = x2 and are functions of (min, max) only, so exchange
+symmetry is built in; the contact interaction shows up as a derivative kink
+across the diagonal, not in the values.
+
+In the rotated coordinates u = x1 + x2 - 1 and v = x1 - x2 + 1 the x1 < x2
+branch is a sum of two separated products of a = (k1 + k2) / 2 (centre of
+mass) and d = (k1 - k2) / 2 (separation),
+
+    s = +1:  cos(a u) cos(d v) - cos(a v) cos(d u),
+    s = -1:  sin(a v) sin(d u) - sin(a u) sin(d v),
+
+on the triangle {0 <= v <= 1, |u| <= v}.  The overall scale that makes the
+density integrate to one therefore comes in closed form, with no quadrature.
 
 The spin-triplet factor is the antisymmetrized product of two distinct box
 modes and is unaffected by the contact term.  The box length is fixed to 1
@@ -20,7 +29,9 @@ through hbar^2 / (2 m L^2), which is never applied here.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -41,8 +52,10 @@ __all__ = [
     "schrodinger_residual",
 ]
 
-_NORMALIZATION_PANELS = 400
 _DEFAULT_RESOLUTION = 201
+# Below this modulus the quotients of the norm's closed form switch to their
+# two-term Taylor series, whose next term is below 1e-18 relative.
+_SERIES_LEVEL = 1e-4
 # Finite-difference step and the exclusion margin of the pointwise
 # Schroedinger check.
 _FD_STEP = 1e-4
@@ -177,28 +190,87 @@ class DensityGrid:
         return float(np.mean(np.diag(np.fliplr(self.values))))
 
 
+def _sine_mean(x: complex) -> complex:
+    """(1 - cos x) / x, the mean of sin(x v) over v in [0, 1], without cancellation."""
+    if abs(x) < _SERIES_LEVEL:
+        return 0.5 * x * (1.0 - x * x / 12.0)
+    half = cmath.sin(0.5 * x)
+    return 2.0 * half * half / x
+
+
+def _triangle_cosines(alpha: complex, beta: complex) -> complex:
+    """Integral of cos(alpha u) cos(beta v) over {0 <= v <= 1, |u| <= v}.
+
+    Integrating u first gives (f(alpha + beta) + f(alpha - beta)) / alpha with
+    f = ``_sine_mean``; integrating v first gives
+    (2 sin(beta) sinc(alpha) - f(beta + alpha) - f(beta - alpha)) / beta.
+    Dividing by the larger of the two frequencies keeps either quotient free
+    of cancellation, down to alpha = beta = 0 where the integral is the
+    triangle's area, 1.
+    """
+    if abs(alpha) >= abs(beta):
+        if alpha == 0.0:
+            return 1.0
+        return (_sine_mean(alpha + beta) + _sine_mean(alpha - beta)) / alpha
+    if abs(alpha) < _SERIES_LEVEL:
+        sinc = 1.0 - alpha * alpha / 6.0
+    else:
+        sinc = cmath.sin(alpha) / alpha
+    return (2.0 * cmath.sin(beta) * sinc
+            - _sine_mean(beta + alpha) - _sine_mean(beta - alpha)) / beta
+
+
+def _product_overlap(p: complex, q: complex, r: complex, t: complex,
+                     odd: bool) -> complex:
+    """Triangle integral of g(p u) g(q v) conj(g(r u) g(t v)).
+
+    g is sin when ``odd`` and cos otherwise; each product of two g's is half
+    a sum (cos) or difference (sin) of cosines of the summed and differenced
+    frequencies.
+    """
+    r, t = r.conjugate(), t.conjugate()
+    total = 0.0
+    for su in (1.0, -1.0):
+        for sv in (1.0, -1.0):
+            term = _triangle_cosines(p + su * r, q + sv * t)
+            total += su * sv * term if odd else term
+    return 0.25 * total
+
+
 def normalize(pair: MomentumPair, s: int | None = None) -> SingletWavefunction:
     """Fix the overall scale so the density integrates to one.
 
-    The integral runs over the unit square with 400x400 Simpson panels,
-    summed exactly as ``numerics.simpson_2d`` sums them.
+    The integral of |Psi|^2 over the unit square equals that of
+    |X(a, d) - X(d, a)|^2 over the (u, v) triangle, X(p, q) = g(p u) g(q v)
+    with g = cos for s = +1 and sin for s = -1 (see the module docstring).
+    It expands into 12 triangle integrals of cosine products, each in closed
+    form, and holds for any pair: conjugate, real, or a complex pair that is
+    not conjugate, with either sign.
 
     Raises:
         DegenerateState: the unnormalized amplitude vanishes identically
             (for example equal momenta with ratio sign -1).
-        ValueError: the density is not finite on the grid.
+        ValueError: ``s`` is not +1 or -1, or the integral is not finite
+            (the amplitude overflows).
     """
     sign = pair.case.s if s is None else s
-    xs = _axis(_NORMALIZATION_PANELS + 1)
-    density = np.abs(_amplitude_on_axis(pair.k1, pair.k2, sign, xs)) ** 2
-    weights = _simpson_weights(_NORMALIZATION_PANELS)
-    h = 1.0 / _NORMALIZATION_PANELS
-    integral = float(h * h / 9.0 * np.sum(np.outer(weights, weights) * density))
-    if not np.isfinite(integral):
-        raise ValueError("integrand is not finite on the grid")
+    if sign not in (1, -1):
+        raise ValueError(f"ratio sign must be +1 or -1, got {sign}")
+    a = 0.5 * (pair.k1 + pair.k2)
+    d = 0.5 * (pair.k1 - pair.k2)
+    odd = sign == -1
+    try:
+        integral = (_product_overlap(a, d, a, d, odd).real
+                    + _product_overlap(d, a, d, a, odd).real
+                    - 2.0 * _product_overlap(a, d, d, a, odd).real)
+    except (OverflowError, ValueError):
+        # cmath raises where numpy would return inf or nan.
+        integral = math.nan
+    if not math.isfinite(integral):
+        raise ValueError("the norm integral is not finite")
     if integral < 1e-12:
         raise DegenerateState("wavefunction norm vanishes; cannot normalize")
-    return SingletWavefunction(pair=pair, s=sign, norm=1.0 / np.sqrt(integral))
+    return SingletWavefunction(pair=pair, s=sign, norm=1.0 / math.sqrt(integral))
 
 
 def _axis(resolution: int) -> NDArray[np.float64]:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairwell.errors import DegenerateState, IdenticallyZero
+from pairwell import solve
+from pairwell.errors import DegenerateState, IdenticallyZero, PairwellError
 from pairwell.numerics import simpson_2d
 from pairwell.transcend import MomentumPair, StateLabel, TranscendentalCase
 from pairwell.wavefn import (
@@ -19,6 +20,23 @@ from pairwell.wavefn import (
 )
 
 PI = np.pi
+_GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(200)
+
+
+def _triangle_rule(k1, k2, s):
+    """Independent oracle for the integral of |Psi|^2 over the unit square.
+
+    Twice the integral over x1 < x2, in u = x1 + x2 - 1 and v = x1 - x2 + 1
+    (Jacobian 1/2) on {0 <= v <= 1, |u| <= v}, with u = v t.  The amplitude
+    is analytic on the closed triangle, since its kink lies on the edge
+    v = 1, so a 200 x 200 Gauss-Legendre product rule converges to rounding
+    level.
+    """
+    v = 0.5 * (_GAUSS_T + 1.0)[:, None]
+    u = v * _GAUSS_T[None, :]
+    weights = 0.5 * _GAUSS_W[:, None] * _GAUSS_W[None, :] * v
+    amplitude = _raw_amplitude(k1, k2, s, 0.5 * (u + v), 0.5 * (u - v) + 1.0)
+    return float(np.sum(weights * np.abs(amplitude) ** 2))
 
 
 def _cusp_mismatch(pair, s, position):
@@ -109,13 +127,10 @@ class TestAmplitudeOnAxis:
         ("repulsive_roots", (1, 1)), ("repulsive_roots", (2, 2)),
     ])
     def test_norm_grid_and_max_match_the_pointwise_path(self, request, roots, key):
-        # The meshgrid quadrature normalize used to run is the oracle.
         pair = request.getfixturevalue(roots)[key]
-        integral = simpson_2d(
-            lambda a, b: np.abs(_raw_amplitude(pair.k1, pair.k2, pair.case.s, a, b)) ** 2,
-            ((0.0, 1.0), (0.0, 1.0)), 400)
         wavefunction = normalize(pair)
-        assert wavefunction.norm == 1.0 / np.sqrt(integral)
+        assert wavefunction.norm ** -2 == pytest.approx(
+            _triangle_rule(pair.k1, pair.k2, pair.case.s), rel=1e-12)
         xs = np.linspace(0.0, 1.0, 201)
         pointwise = wavefunction.value(xs[:, None], xs[None, :])
         assert np.array_equal(density_grid(wavefunction, 201).values,
@@ -174,6 +189,44 @@ class TestNormalize:
         pair = MomentumPair(4.0, 4.0, TranscendentalCase(U=1.0, s=1), StateLabel(1, 1))
         with pytest.raises(DegenerateState):
             normalize(pair, s=-1)
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+    def test_closed_form_matches_the_triangle_rule(self, n, m):
+        # Every strength where solve returns; the cutoff only seeds n != m.
+        strengths = [float(U) for U in np.linspace(-80.0, 80.0, 33)]
+        solved = 0
+        for U in strengths + [1e-3, -1e-3, 1e-8, -1e-8]:
+            try:
+                pair = solve(U, n, m, n_max=16)
+            except PairwellError:
+                continue
+            solved += 1
+            assert normalize(pair).norm ** -2 == pytest.approx(
+                _triangle_rule(pair.k1, pair.k2, pair.case.s), rel=1e-12), U
+        assert solved >= 6  # the fewest of any label: (3,4) and (4,3) solve at 6
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_any_pair_and_sign(self, attractive_roots, s):
+        # A complex pair that is not conjugate (k1^2 + k2^2 is still real),
+        # and solved pairs under either sign.
+        skew = MomentumPair(3.0 + 0.5j, 1.5 - 1.0j, TranscendentalCase(U=1.0, s=1),
+                            StateLabel(2, 1))
+        for pair in (skew, attractive_roots[(1, 1)], attractive_roots[(2, 1)]):
+            assert normalize(pair, s=s).norm ** -2 == pytest.approx(
+                _triangle_rule(pair.k1, pair.k2, s), rel=1e-12)
+
+    def test_nonfinite_integral(self):
+        overflow = MomentumPair(1.5 + 800j, 1.5 - 800j, TranscendentalCase(U=-1.0, s=1),
+                                StateLabel(1, 1))
+        nan = MomentumPair(complex(np.nan, 0.0), PI, TranscendentalCase(U=1.0, s=1),
+                           StateLabel(1, 1))
+        for pair in (overflow, nan):
+            with pytest.raises(ValueError, match="not finite"):
+                normalize(pair)
+
+    def test_sign_must_be_unit(self, attractive_roots):
+        with pytest.raises(ValueError, match="ratio sign"):
+            normalize(attractive_roots[(1, 1)], s=0)
 
 
 class TestDensityGrid:
