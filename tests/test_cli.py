@@ -16,8 +16,10 @@ from pairwell.transcend import StateLabel
 
 PI = np.pi
 DATA = pathlib.Path(__file__).parent / "data"
-# SHA-256 of `pairwell density` stdout, keyed by argv; written before the
-# grid and the CSV were built per axis, and not to move by a byte.
+# SHA-256 of `pairwell density` stdout, keyed by argv.  The singlet digests
+# were rewritten once, when the norm went from a 400 x 400 Simpson rule to
+# its closed form: the `# norm` line and every density moved by the norm
+# correction alone (at most 7.3e-7 relative in the norm).
 DENSITY_SHA256 = json.loads((DATA / "density_sha256.json").read_text(encoding="utf-8"))
 # Exact stdout of `pairwell solve`, `sweep` and `ci`, keyed by argv in
 # index.json; written before the norm went to closed form and the parser was
