@@ -18,6 +18,7 @@ at sin(k1) = sin(k2) = 0, which :func:`verify_solution` rejects unless U = 0.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -153,7 +154,7 @@ def verify_solution(pair: MomentumPair) -> float:
     case = pair.case
     k1, k2 = pair.k1, pair.k2
     rnorm = float(np.max(np.abs(residual(case, (k1, k2)))))
-    if not np.isfinite(rnorm):
+    if not math.isfinite(rnorm):
         raise SolutionRejected(f"residual is not finite ({rnorm})")
 
     if min(abs(k1), abs(k2)) < _SIN_FLOOR and rnorm <= _ROOT_LEVEL:
